@@ -27,7 +27,6 @@ class Experiment:
     grid: str | None = None
     threads: tuple[int, ...] = DEFAULT_THREADS
     overrides: dict = field(default_factory=dict)  # MachineParams field overrides
-    repetitions: int = 1
 
     def __post_init__(self):
         self.threads = tuple(self.threads)
@@ -52,7 +51,6 @@ def load_experiment(path: str) -> Experiment:
         grid=resolve(doc.get("grid")),
         threads=tuple(doc.get("threads", DEFAULT_THREADS)),
         overrides=doc.get("overrides", {}),
-        repetitions=doc.get("repetitions", 1),
     )
 
 

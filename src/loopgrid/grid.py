@@ -132,8 +132,6 @@ class GridConfig:
     placement: dict[int, tuple[int, int]]
     routes: dict[tuple, Route]
     feedback: list[FeedbackAttachment]
-    selector_init: dict[tuple, int]  # edge key -> threads served by the original input
-    eor_updates: list[FeedbackAttachment]
     baseline_only: list[tuple]  # back-edge keys with no in-grid feedback (consecutive)
     port: tuple[int, int] = (0, 0)
 
@@ -163,7 +161,9 @@ class GridConfig:
                 }
                 for f in self.feedback
             ],
-            "selector_init": {",".join(map(str, k)): v for k, v in sorted(self.selector_init.items())},
+            # edge key -> threads served by the original input
+            "selector_init": {",".join(map(str, k)): diff
+                              for k, diff in sorted((f.edge_key, f.diff) for f in self.feedback)},
             "baseline_only": [list(k) for k in self.baseline_only],
         }
 
@@ -264,8 +264,6 @@ def attach_feedback(g: DataflowGraph, deps: list[LoopCarriedDep],
     next_id = len(g.nodes)
 
     feedback: list[FeedbackAttachment] = []
-    eor_updates: list[FeedbackAttachment] = []
-    selector_init: dict[tuple, int] = {}
     baseline_only: list[tuple] = []
 
     for dep in deps:
@@ -294,17 +292,13 @@ def attach_feedback(g: DataflowGraph, deps: list[LoopCarriedDep],
             next_id += 1
             att.eor_cell = cell
             att.extra_latency = (manhattan(pc, cell) + manhattan(cell, cc)) * spec.hop_latency
-            eor_updates.append(att)
         feedback.append(att)
-        selector_init[key] = dep.diff
 
     return GridConfig(
         spec=spec,
         placement=placement,
         routes=routes,
         feedback=feedback,
-        selector_init=selector_init,
-        eor_updates=eor_updates,
         baseline_only=baseline_only,
     )
 

@@ -11,6 +11,7 @@ oracle for the cycle-level simulator.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 
 ALU_OPS = ("add", "sub", "mul", "cmp", "and", "or", "shift")
@@ -179,8 +180,8 @@ def parse_dfg(text: str) -> DataflowGraph:
             try:
                 return int(args[i], 0)
             except ValueError:
-                raise DfgError("syntax", f"expected integer, got '{args[i]}'", lineno,
-                               raw.index(args[i]) + 1)
+                col = [m.start() for m in re.finditer(r"\S+", raw)][i + 1] + 1
+                raise DfgError("syntax", f"expected integer, got '{args[i]}'", lineno, col)
 
         if head == "node":
             nid = want_int(0)
@@ -216,10 +217,7 @@ def parse_dfg(text: str) -> DataflowGraph:
             if len(args) < 4:
                 raise DfgError("syntax", "'livein' needs name, node, slot, values", lineno)
             name = args[0]
-            nid = int(args[1]) if args[1].lstrip("-").isdigit() else None
-            if nid is None:
-                raise DfgError("syntax", f"bad node id '{args[1]}'", lineno)
-            slot = int(args[2])
+            nid, slot = want_int(1), want_int(2)
             values = tuple(_parse_scalar(v) for v in args[3:])
             if any(v is None for v in values):
                 raise DfgError("syntax", "bad livein value", lineno)
@@ -293,19 +291,25 @@ def parse_dfg_json(text: str) -> DataflowGraph:
     except json.JSONDecodeError as exc:
         raise DfgError("syntax", f"bad JSON: {exc}", exc.lineno, exc.colno)
     lines = []
-    for nd in doc.get("node", []):
-        lines.append(f"node {nd['id']} {nd['kind']}" + (f" {nd['value']}" if "value" in nd else ""))
-    for e in doc.get("edge", []):
-        lines.append(f"edge {e['src']} {e['dst']} {e['slot']}")
-    for e in doc.get("back", []):
-        lines.append(f"back {e['src']} {e['dst']} {e['slot']} {e['diff']}")
-    for lv in doc.get("livein", []):
-        vals = " ".join(str(v) for v in lv["values"])
-        lines.append(f"livein {lv['name']} {lv['node']} {lv['slot']} {vals}")
-    for lo in doc.get("liveout", []):
-        lines.append(f"liveout {lo['node']}")
-    for m in doc.get("mem", []):
-        lines.append(f"mem {m['addr']} {m['value']}")
+    try:
+        for nd in doc.get("node", []):
+            value = f" {nd['value']}" if "value" in nd else ""
+            lines.append(f"node {nd['id']} {nd['kind']}{value}")
+        for e in doc.get("edge", []):
+            lines.append(f"edge {e['src']} {e['dst']} {e['slot']}")
+        for e in doc.get("back", []):
+            lines.append(f"back {e['src']} {e['dst']} {e['slot']} {e['diff']}")
+        for lv in doc.get("livein", []):
+            vals = " ".join(str(v) for v in lv["values"])
+            lines.append(f"livein {lv['name']} {lv['node']} {lv['slot']} {vals}")
+        for lo in doc.get("liveout", []):
+            lines.append(f"liveout {lo['node']}")
+        for m in doc.get("mem", []):
+            lines.append(f"mem {m['addr']} {m['value']}")
+    except KeyError as exc:
+        raise DfgError("syntax", f"missing key {exc}")
+    except (AttributeError, TypeError) as exc:
+        raise DfgError("syntax", f"malformed document: {exc}")
     return parse_dfg("\n".join(lines))
 
 
@@ -344,10 +348,13 @@ def validate(g: DataflowGraph) -> list[Violation]:
         if 0 <= e.dst < n and e.slot >= g.node(e.dst).n_inputs:
             out.append(Violation("arity-mismatch",
                                  f"node {e.dst} ({g.node(e.dst).kind}) has no slot {e.slot}"))
+    for lv in g.live_in.values():
+        if 0 <= lv.node < n and lv.slot >= g.node(lv.node).n_inputs:
+            out.append(Violation("arity-mismatch", f"livein '{lv.name}': node {lv.node} "
+                                 f"({g.node(lv.node).kind}) has no slot {lv.slot}"))
 
     # every non-const input slot fed exactly once
     for nd in g.nodes:
-        feeders = g.slot_feeders(nd.id)
         for slot in range(nd.n_inputs):
             srcs = [e for e in g.edges if e.dst == nd.id and e.slot == slot]
             lvs = [lv for lv in g.live_in.values() if lv.node == nd.id and lv.slot == slot]
@@ -356,10 +363,9 @@ def validate(g: DataflowGraph) -> list[Violation]:
             if srcs and any(e.kind == "intra" for e in srcs) and lvs:
                 out.append(Violation("duplicate-slot",
                                      f"slot {slot} of node {nd.id} has both edge and livein"))
-        del feeders
 
     # intra edges must form a DAG
-    if _intra_has_cycle(g):
+    if topo_order(g) is None:
         out.append(Violation("intra-cycle", "intra-iteration edges contain a cycle"))
 
     # dependent slots need initial values covering threads < diff
@@ -385,8 +391,6 @@ def validate(g: DataflowGraph) -> list[Violation]:
     for nid in g.live_out:
         if not 0 <= nid < n:
             out.append(Violation("dangling-reference", f"liveout node {nid} missing"))
-        elif g.node(nid).kind == "const":
-            pass  # observing a const is pointless but legal
 
     for nd in g.nodes:
         if nd.kind == "const" and g.in_edges(nd.id):
@@ -395,11 +399,6 @@ def validate(g: DataflowGraph) -> list[Violation]:
             out.append(Violation("sink-output", f"sink node {nd.id} has outputs"))
 
     return out
-
-
-def _intra_has_cycle(g: DataflowGraph) -> bool:
-    order = topo_order(g)
-    return order is None
 
 
 def topo_order(g: DataflowGraph) -> list[int] | None:

@@ -26,9 +26,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .analysis import find_deps
-from .grid import GridConfig
-from .ir import DataflowGraph, eval_op
+from .analysis import LoopPattern, classify, find_deps
+from .grid import GridConfig, GridSpec
+from .ir import DataflowGraph, Node, eval_op
 
 
 class Token(NamedTuple):
@@ -55,6 +55,13 @@ class MachineParams:
             raise ValueError(f"unknown mode '{self.mode}'")
         if self.n_threads < 1 or self.mem_latency < 1 or self.spill_latency < 0:
             raise ValueError("bad machine parameters")
+        if self.mem_max_outstanding is not None and self.mem_max_outstanding < 1:
+            raise ValueError("mem_max_outstanding must be None or at least 1")
+
+
+def unit_latency(nd: Node, spec: GridSpec, params: MachineParams) -> int:
+    """Cycles from a unit firing to its result: loads pay the memory latency."""
+    return params.mem_latency if nd.kind == "load" else spec.latencies[nd.latency_class]
 
 
 @dataclass
@@ -121,30 +128,24 @@ class SimState:
         self.dfg = dfg
         self.params = params
         self.trace = trace
-        spec = config.spec
 
         self.units: dict[int, _Unit] = {}
         for nd in dfg.nodes:
-            lat = params.mem_latency if nd.kind == "load" else spec.latencies[nd.latency_class]
-            self.units[nd.id] = _Unit(nd, config.placement[nd.id], lat)
+            self.units[nd.id] = _Unit(nd, config.placement[nd.id],
+                                      unit_latency(nd, config.spec, params))
 
-        # per producer: list of (consumer, slot, diff, extra delay, spill?)
-        self.carriers: dict[int, list[tuple[int, int, int, int, bool]]] = {}
-        dep_keys = set()
+        # per producer: list of (consumer, slot, diff, extra delay)
+        self.carriers: dict[int, list[tuple[int, int, int, int]]] = {}
+        spilled = {e.key() for e in dfg.back_edges()}
         if params.mode == "dr":
             for att in config.feedback:
                 self.carriers.setdefault(att.producer, []).append(
-                    (att.consumer, att.consumer_slot, att.diff, att.feedback_latency, False))
-                dep_keys.add(att.edge_key)
-            spilled = list(config.baseline_only)
-        else:
-            spilled = [e.key() for e in dfg.back_edges()]
-        for key in spilled:
-            src, dst, slot, _k = key
-            diff = next(e.diff for e in dfg.back_edges() if e.key() == key)
-            delay = config.reinjection_latency(dst) + params.spill_latency
-            self.carriers.setdefault(src, []).append((dst, slot, diff, delay, True))
-            dep_keys.add(key)
+                    (att.consumer, att.consumer_slot, att.diff, att.feedback_latency))
+            spilled = set(config.baseline_only)
+        for e in dfg.back_edges():
+            if e.key() in spilled:
+                delay = config.reinjection_latency(e.dst) + params.spill_latency
+                self.carriers.setdefault(e.src, []).append((e.dst, e.slot, e.diff, delay))
 
         self.dep_slots = {(e.dst, e.slot): e.diff for e in dfg.back_edges()}
         self.out_links: dict[int, list[tuple[int, int, int]]] = {nd.id: [] for nd in dfg.nodes}
@@ -166,7 +167,6 @@ class SimState:
         self.dropped_retags = 0
         self.selector_drops = 0
         self.liveout_vals: dict[int, dict[int, object]] = {n: {} for n in dfg.live_out}
-        self.issue_log: dict[int, list[int]] = {}
 
         # unit whose issue cadence defines the measured initiation interval
         if params.mode == "dr" and config.feedback:
@@ -175,7 +175,7 @@ class SimState:
             self.primary = dfg.back_edges()[0].dst
         else:
             self.primary = dfg.live_out[0] if dfg.live_out else 0
-        self.issue_log[self.primary] = []
+        self.primary_issues: list[int] = []  # cycles at which the primary unit fired
 
         routes_max = max((r.latency for r in config.routes.values()), default=0)
         lat_max = max(u.latency for u in self.units.values())
@@ -240,7 +240,7 @@ class SimState:
                 self.liveout_vals[nid][tid] = value
             if unit.node.kind != "sink":
                 unit.out_queue.append((tid, value))
-            for consumer, slot, diff, delay, _spill in self.carriers.get(nid, ()):
+            for consumer, slot, diff, delay in self.carriers.get(nid, ()):
                 new = ildr_retag(Token(tid, value), diff)
                 if new.thread_id >= self.params.n_threads:
                     self.dropped_retags += 1
@@ -314,8 +314,8 @@ class SimState:
                 self.mem_outstanding += 1
             unit.fires += 1
             progress = True
-            if nid in self.issue_log:
-                self.issue_log[nid].append(c)
+            if nid == self.primary:
+                self.primary_issues.append(c)
             self._emit_trace("fire", nid, tid, value)
             self.completions.setdefault(c + unit.latency, []).append((nid, tid, value))
 
@@ -343,7 +343,7 @@ class SimState:
             {nid: self.liveout_vals[nid][t] for nid in self.dfg.live_out}
             for t in range(n)
         ]
-        issues = self.issue_log.get(self.primary, [])
+        issues = self.primary_issues
         ii = None
         if len(issues) >= 3:
             mid = len(issues) // 2
@@ -384,8 +384,6 @@ def steady_state_ii(config: GridConfig, dfg: DataflowGraph, params: MachineParam
     cycles plus the feedback write.  baseline: the same path cost plus the
     spill round trip (flat spill latency + port-to-consumer re-entry hops).
     """
-    from .analysis import LoopPattern, classify  # local import avoids a cycle
-
     deps = find_deps(dfg, config.spec.latencies)
     if len(deps) != 1:
         raise IIOracleError("unsupported-pattern", f"{len(deps)} dependencies, need exactly 1")
@@ -395,10 +393,7 @@ def steady_state_ii(config: GridConfig, dfg: DataflowGraph, params: MachineParam
         raise IIOracleError("unsupported-pattern", f"pattern {pattern.value} not supported")
 
     path = dep.dependent_path
-    lat = 0
-    for nid in path:
-        nd = dfg.node(nid)
-        lat += params.mem_latency if nd.kind == "load" else config.spec.latencies[nd.latency_class]
+    lat = sum(unit_latency(dfg.node(nid), config.spec, params) for nid in path)
     for a, b in zip(path, path[1:]):
         edge = next(e for e in dfg.intra_edges() if e.src == a and e.dst == b)
         lat += config.routes[edge.key()].latency

@@ -13,10 +13,8 @@ traversals) so streaming and aggregated inputs agree exactly.
 
 from __future__ import annotations
 
-import json
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-
-import networkx as nx
 
 DEFAULT_MAX_LEN = 32
 DEFAULT_MAX_ROUTES = 4096
@@ -35,22 +33,22 @@ class RoutineGraph:
     instr_counts: dict[int, int] = field(default_factory=dict)  # bb -> instrs per execution
     edge_counts: dict[tuple[int, int], int] = field(default_factory=dict)
 
+    def _exec_counts(self) -> Counter:
+        """Block -> executions: the larger of its in and out traversals (Counter union)."""
+        ins, outs = Counter(), Counter()
+        for (s, d), c in self.edge_counts.items():
+            outs[s] += c
+            ins[d] += c
+        return ins | outs
+
     def exec_count(self, bb: int) -> int:
-        outs = sum(c for (s, _d), c in self.edge_counts.items() if s == bb)
-        ins = sum(c for (_s, d), c in self.edge_counts.items() if d == bb)
-        return max(outs, ins)
+        return self._exec_counts()[bb]
 
     def total_instructions(self) -> int:
-        return sum(self.exec_count(bb) * self.instr_counts.get(bb, 1) for bb in self.blocks())
-
-    def blocks(self) -> list[int]:
-        bbs = set(self.instr_counts)
-        for s, d in self.edge_counts:
-            bbs.update((s, d))
-        return sorted(bbs)
+        return sum(n * self.instr_counts.get(bb, 1) for bb, n in self._exec_counts().items())
 
 
-def ingest(lines, source: str = "<trace>") -> dict[str, RoutineGraph]:
+def ingest(lines) -> dict[str, RoutineGraph]:
     """Build per-routine graphs from a streaming or aggregated trace.
 
     Streaming lines: ``routine,bb[,instr_count]`` in execution order.
@@ -123,7 +121,7 @@ def ingest(lines, source: str = "<trace>") -> dict[str, RoutineGraph]:
 
 def ingest_file(path: str) -> dict[str, RoutineGraph]:
     with open(path, encoding="utf-8") as fh:
-        return ingest(fh, source=path)
+        return ingest(fh)
 
 
 @dataclass(frozen=True)
@@ -133,21 +131,43 @@ class LoopRoute:
     instructions_per_iteration: int
 
 
-def _canonical(cycle: list[int]) -> tuple[int, ...]:
-    i = cycle.index(min(cycle))
-    return tuple(cycle[i:] + cycle[:i])
+def _circuits(edges, max_len: int):
+    """Simple cycles of at most max_len blocks.  Each is rooted at its
+    smallest block and extended only through larger ones, so it is found
+    once and already in canonical rotation; a block is entered only if its
+    hop distance back to the root still fits in the bound."""
+    succ, pred = defaultdict(list), defaultdict(list)
+    for s, d in edges:
+        succ[s].append(d)
+        pred[d].append(s)
+    for root in sorted(succ):
+        dist = {root: 0}  # reverse BFS over the blocks larger than root
+        queue = [root]
+        for v in queue:
+            for p in pred[v]:
+                if p > root and p not in dist:
+                    dist[p] = dist[v] + 1
+                    queue.append(p)
+        path, stack = [root], [iter(succ[root])]
+        while stack:
+            for nxt in stack[-1]:
+                if nxt == root and len(path) <= max_len:
+                    yield tuple(path)
+                elif nxt in dist and nxt not in path and len(path) + dist[nxt] <= max_len:
+                    path.append(nxt)
+                    stack.append(iter(succ[nxt]))
+                    break
+            else:
+                stack.pop()
+                path.pop()
 
 
 def enumerate_loops(g: RoutineGraph, max_len: int = DEFAULT_MAX_LEN,
                     max_routes: int = DEFAULT_MAX_ROUTES) -> tuple[list[LoopRoute], bool]:
     """All simple cycles up to max_len blocks, ordered by descending
     iteration count then block sequence; returns (routes, truncated)."""
-    dig = nx.DiGraph()
-    dig.add_nodes_from(g.blocks())
-    dig.add_edges_from(g.edge_counts)
     routes = []
-    for cycle in nx.simple_cycles(dig, length_bound=max_len):
-        seq = _canonical(cycle)
+    for seq in _circuits(g.edge_counts, max_len):
         closed = list(zip(seq, seq[1:] + seq[:1]))
         iters = min(g.edge_counts[e] for e in closed)
         instrs = sum(g.instr_counts.get(bb, 1) for bb in seq)
@@ -162,7 +182,6 @@ class RoutineStats:
     name: str
     total_instructions: int
     prevalence: float  # fraction of whole-benchmark instructions
-    loop_instructions: int
     loop_fraction: float  # fraction of routine time spent inside loop routes
     routes: list[LoopRoute]
     truncated: bool
@@ -207,13 +226,14 @@ def prevalence_report(graphs: dict[str, RoutineGraph],
                       max_routes: int = DEFAULT_MAX_ROUTES) -> BenchmarkStats:
     """Per-routine loop-time fractions plus the benchmark-level aggregate
     over routines above the run-time cutoff (default 1%)."""
-    total = sum(g.total_instructions() for g in graphs.values())
+    times = {name: g.total_instructions() for name, g in graphs.items()}
+    total = sum(times.values())
     routines = []
     agg_time = 0
     agg_loop = 0
     for name in sorted(graphs):
         g = graphs[name]
-        routine_time = g.total_instructions()
+        routine_time = times[name]
         routes, truncated = enumerate_loops(g, max_len, max_routes)
         loop_time = sum(r.iterations * r.instructions_per_iteration for r in routes)
         loop_time = min(loop_time, routine_time)  # shared edges can over-count
@@ -224,7 +244,6 @@ def prevalence_report(graphs: dict[str, RoutineGraph],
                 name=name,
                 total_instructions=routine_time,
                 prevalence=prevalence,
-                loop_instructions=loop_time,
                 loop_fraction=loop_time / routine_time if routine_time else 0.0,
                 routes=routes,
                 truncated=truncated,

@@ -15,6 +15,22 @@ def run_cli(*args, expect=0):
     return proc.stdout
 
 
+def test_import_adds_only_stdlib_modules():
+    # no runtime dependencies: importing the package and its CLI in a fresh
+    # interpreter adds no top-level module from outside the standard library
+    # (compared before/after, since start-up .pth hooks load modules of their own)
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import loopgrid, loopgrid.cli\n"
+        "new = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+        "print(*sorted(new - set(sys.stdlib_module_names) - {'loopgrid'}))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
 def test_analyze_line_format(fixtures):
     out = run_cli("analyze", str(fixtures / "scenario3.dfg"))
     assert out.splitlines() == [

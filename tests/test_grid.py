@@ -113,8 +113,8 @@ def test_self_feedback_attachment(fixtures):
     f = cfg.feedback[0]
     assert f.self_loop and f.eor_node is None
     assert f.extra_latency == 0 and f.feedback_latency == 1
-    assert cfg.eor_updates == []
-    assert list(cfg.selector_init.values()) == [1]  # switch after thread < diff
+    assert all(att.eor_node is None for att in cfg.feedback)
+    assert list(cfg.to_json()["selector_init"].values()) == [1]  # switch after thread < diff
 
 
 def test_remote_feedback_gets_update_node(fixtures):

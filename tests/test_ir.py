@@ -47,6 +47,8 @@ def test_parse_comments_and_blank_lines():
         ("node 0", "syntax", 1),
         ("node 1 add", "syntax", 1),  # ids must start at 0 and be dense
         ("frobnicate 1 2", "syntax", 1),
+        ("node 0 add\nlivein x 0 a 1", "syntax", 2),  # non-integer slot
+        ("node 0 add\nlivein x b 0 1", "syntax", 2),  # non-integer node
     ],
 )
 def test_parse_errors(text, code, line):
@@ -54,6 +56,13 @@ def test_parse_errors(text, code, line):
         parse_dfg(text)
     assert exc.value.code == code
     assert exc.value.line == line
+
+
+def test_parse_error_column_points_at_bad_token():
+    # the bad node id "n" also occurs earlier on the line, inside "livein"
+    with pytest.raises(DfgError) as exc:
+        parse_dfg("node 0 add\n  livein ni n 0 1")
+    assert (exc.value.line, exc.value.col) == (2, 13)
 
 
 def test_all_fixtures_validate_clean(fixtures):
@@ -76,11 +85,31 @@ def test_all_fixtures_validate_clean(fixtures):
             "node 0 const 1\nnode 1 splitjoin\nedge 0 1 0\nedge 0 0 0\nliveout 1",
             "const-input",
         ),
+        (
+            "node 0 const 1\nnode 1 add\nedge 0 1 0\nlivein y 1 1 2\n"
+            "livein z 1 7 3\nliveout 1",
+            "arity-mismatch",  # livein on a slot the add does not have
+        ),
     ],
 )
 def test_validate_negatives(text, code):
     g = parse_dfg(text)
     assert code in {v.code for v in validate(g)}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"node": [{"kind": "add"}]},  # node without an id
+        {"node": [{"id": 0, "kind": "const", "value": 1}], "liveout": [{}]},
+        [],  # not an object
+        {"node": [0]},
+    ],
+)
+def test_parse_json_errors_are_syntax(doc):
+    with pytest.raises(DfgError) as exc:
+        parse_dfg_json(json.dumps(doc))
+    assert exc.value.code == "syntax"
 
 
 def test_parse_rejects_zero_diff():

@@ -36,6 +36,10 @@ def test_params_validation():
         MachineParams(mode="turbo", n_threads=4)
     with pytest.raises(ValueError):
         MachineParams(mode="dr", n_threads=0)
+    for bad in (0, -1):  # would deadlock: no load could ever issue
+        with pytest.raises(ValueError):
+            MachineParams(mode="dr", n_threads=4, mem_max_outstanding=bad)
+    assert MachineParams(mem_max_outstanding=1).mem_max_outstanding == 1
 
 
 # ---------------------------------------------------------------- cadence

@@ -1,11 +1,13 @@
 """Block-trace ingestion, loop-route enumeration, and prevalence stats."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from loopgrid.traceflow import (
+    DEFAULT_MAX_LEN,
     LoopRoute,
     RoutineGraph,
     TraceError,
@@ -18,8 +20,9 @@ from loopgrid.traceflow import (
 )
 
 
-def brute_force_cycles(edges):
-    """Independent simple-cycle enumeration by exhaustive path search."""
+def brute_force_cycles(edges, max_len=DEFAULT_MAX_LEN):
+    """Independent simple-cycle enumeration by exhaustive path search;
+    keeps the cycles of at most max_len blocks (a self-loop has one)."""
     nodes = sorted({n for e in edges for n in e})
     succ = {n: sorted(d for s, d in edges if s == n) for n in nodes}
     found = set()
@@ -38,7 +41,7 @@ def brute_force_cycles(edges):
 
     for n in nodes:
         walk([n])
-    return found
+    return {c for c in found if len(c) <= max_len}
 
 
 # ---------------------------------------------------------------- ingestion
@@ -126,16 +129,35 @@ def test_truncation_flag():
 
 
 def test_cycle_sets_match_brute_force_exhaustive():
-    # every digraph on 3 blocks
+    # every digraph on 3 blocks, at every length bound up to the block count
     all_edges = [(a, b) for a in range(3) for b in range(3)]
     for mask in range(2 ** len(all_edges)):
         edges = {e: 1 for i, e in enumerate(all_edges) if mask >> i & 1}
         if not edges:
             continue
         g = RoutineGraph("f", instr_counts={}, edge_counts=edges)
-        routes, truncated = enumerate_loops(g)
-        assert not truncated
-        assert {r.blocks for r in routes} == brute_force_cycles(edges)
+        for max_len in (1, 2, 3):
+            routes, truncated = enumerate_loops(g, max_len=max_len)
+            assert not truncated
+            assert {r.blocks for r in routes} == brute_force_cycles(edges, max_len)
+
+
+def test_truncation_keeps_top_routes_seeded():
+    rng = random.Random(2105)
+    n = rng.randint(6, 9)
+    edges = {(a, b): rng.randint(1, 50)
+             for a in range(n) for b in range(n) if rng.random() < 0.5}
+    instrs = {bb: rng.randint(1, 9) for bb in range(n)}
+    g = RoutineGraph("f", instr_counts=instrs, edge_counts=edges)
+    expect = sorted(
+        (LoopRoute(c, min(edges[e] for e in zip(c, c[1:] + c[:1])),
+                   sum(instrs[bb] for bb in c))
+         for c in brute_force_cycles(edges, max_len=4)),
+        key=lambda r: (-r.iterations, r.blocks))
+    assert len(expect) > 8
+    routes, truncated = enumerate_loops(g, max_len=4, max_routes=8)
+    assert truncated
+    assert routes == expect[:8]
 
 
 @settings(max_examples=60, deadline=None)
