@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .ir import DataflowGraph, DfgError, Edge
+from .ir import DataflowGraph, DfgError, Edge, topo_order
 
 DEFAULT_LATENCIES = {"alu": 1, "fpu": 4, "load": 20, "store": 1, "control": 1, "sju": 1}
 
@@ -40,65 +40,60 @@ def path_latency(g: DataflowGraph, path, latencies=None) -> int:
     return sum(lat[g.node(nid).latency_class] for nid in path)
 
 
-def _all_intra_paths(g: DataflowGraph, start: int, goal: int):
-    """All simple paths start -> goal over intra edges (DAG, so this is finite)."""
-    if start == goal:
-        yield (start,)
-        return
-    succ: dict[int, list[int]] = {}
-    for e in g.intra_edges():
-        succ.setdefault(e.src, []).append(e.dst)
-    stack = [(start, (start,))]
-    while stack:
-        nid, path = stack.pop()
-        for nxt in sorted(succ.get(nid, []), reverse=True):
-            if nxt == goal:
-                yield path + (nxt,)
-            elif nxt not in path:
-                stack.append((nxt, path + (nxt,)))
-
-
 def find_deps(g: DataflowGraph, latencies=None) -> list[LoopCarriedDep]:
     """One dependency record per back edge, in declaration order.
 
     The dependent path is the intra-edge path consumer -> producer; when
     several exist the longest-latency one governs the stall cost and is
-    chosen (ties: lexicographically smallest node sequence).
+    chosen (ties: lexicographically smallest node sequence).  One pass per
+    back edge over the intra-edge DAG in reverse topological order.
     """
+    order = topo_order(g)
+    if order is None:
+        raise DfgError("intra-cycle", "intra-iteration edges contain a cycle")
+    lat = latencies or DEFAULT_LATENCIES
+    succ: dict[int, list[int]] = {}
+    for e in g.intra_edges():
+        succ.setdefault(e.src, []).append(e.dst)
     deps = []
     for be in g.back_edges():
         consumer, producer = be.dst, be.src
-        best = None
-        for path in _all_intra_paths(g, consumer, producer):
-            cost = path_latency(g, path, latencies)
-            cand = (-cost, path)
-            if best is None or cand < best:
-                best = cand
-        if best is None:
+        # cost[v]: latency of the costliest path v -> producer, nxt[v] its next
+        # node; paths from v differ first at that node, so the smallest id on a
+        # tie is the lexicographic minimum.  The producer never extends (DAG).
+        cost = {producer: lat[g.node(producer).latency_class]}
+        nxt: dict[int, int] = {}
+        for v in reversed(order):
+            reach = [s for s in succ.get(v, ()) if s in cost]
+            if reach:
+                nxt[v] = min(reach, key=lambda s: (-cost[s], s))
+                cost[v] = lat[g.node(v).latency_class] + cost[nxt[v]]
+        if consumer not in cost:
             raise DfgError(
                 "malformed-loop",
                 f"back edge {producer}->{consumer}: consumer cannot reach producer",
             )
+        path = [consumer]
+        while path[-1] != producer:
+            path.append(nxt[path[-1]])
         deps.append(
-            LoopCarriedDep(be, producer, consumer, be.slot, be.diff, best[1])
+            LoopCarriedDep(be, producer, consumer, be.slot, be.diff, tuple(path))
         )
     return deps
 
 
 def classify(g: DataflowGraph, dep: LoopCarriedDep,
-             deps: list[LoopCarriedDep] | None = None) -> tuple[LoopPattern, bool]:
+             deps: list[LoopCarriedDep]) -> tuple[LoopPattern, bool]:
     """Classify one dependency; returns (pattern, memory flag).
 
     The memory flag is orthogonal: true iff the loop body contains any
     load/store, regardless of the structural pattern.
     """
-    if deps is None:
-        deps = find_deps(g)
     mem = any(nd.kind in ("load", "store") for nd in g.nodes)
 
     mine = set(dep.dependent_path)
     for other in deps:
-        if other.back_edge is dep.back_edge or other.back_edge == dep.back_edge:
+        if other.back_edge == dep.back_edge:
             continue
         if mine & set(other.dependent_path):
             return LoopPattern.CONSECUTIVE, mem

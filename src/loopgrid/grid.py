@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass, field
 
 from .analysis import DEFAULT_LATENCIES, LoopCarriedDep, LoopPattern, classify, find_deps
-from .ir import DataflowGraph, topo_order
+from .ir import DataflowGraph
 
 COMPUTE, LDST, CONTROL, SJU = "COMPUTE", "LDST", "CONTROL", "SJU"
 

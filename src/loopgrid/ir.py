@@ -117,12 +117,6 @@ class DataflowGraph:
     def back_edges(self) -> list[Edge]:
         return [e for e in self.edges if e.kind == "back"]
 
-    def in_edges(self, nid: int) -> list[Edge]:
-        return [e for e in self.edges if e.dst == nid]
-
-    def out_edges(self, nid: int) -> list[Edge]:
-        return [e for e in self.edges if e.src == nid]
-
     def slot_feeders(self, nid: int) -> dict[int, object]:
         """Map input slot -> the Edge or LiveIn feeding it (edges win ties)."""
         feeders: dict[int, object] = {}
@@ -392,10 +386,12 @@ def validate(g: DataflowGraph) -> list[Violation]:
         if not 0 <= nid < n:
             out.append(Violation("dangling-reference", f"liveout node {nid} missing"))
 
+    dsts = {e.dst for e in g.edges}
+    srcs = {e.src for e in g.edges}
     for nd in g.nodes:
-        if nd.kind == "const" and g.in_edges(nd.id):
+        if nd.kind == "const" and nd.id in dsts:
             out.append(Violation("const-input", f"const node {nd.id} has inputs"))
-        if nd.kind == "sink" and g.out_edges(nd.id):
+        if nd.kind == "sink" and nd.id in srcs:
             out.append(Violation("sink-output", f"sink node {nd.id} has outputs"))
 
     return out

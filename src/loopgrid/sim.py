@@ -23,7 +23,7 @@ strictly single-threaded; distinct simulations share no state.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .analysis import LoopPattern, classify, find_deps
@@ -379,15 +379,18 @@ class IIOracleError(Exception):
 def steady_state_ii(config: GridConfig, dfg: DataflowGraph, params: MachineParams) -> int:
     """Closed-form steady-state initiation interval; cross-check oracle.
 
-    Only defined for a single realized dependency whose pattern is
-    single-path or diverging-after.  dr: dependent-path compute and route
-    cycles plus the feedback write.  baseline: the same path cost plus the
-    spill round trip (flat spill latency + port-to-consumer re-entry hops).
+    Only defined for a single realized dependency of diff 1 (with diff d,
+    d threads share the recurrence) whose pattern is single-path or
+    diverging-after.  dr: dependent-path compute and route cycles plus the
+    feedback write.  baseline: the same path cost plus the spill round trip
+    (flat spill latency + port-to-consumer re-entry hops).
     """
     deps = find_deps(dfg, config.spec.latencies)
     if len(deps) != 1:
         raise IIOracleError("unsupported-pattern", f"{len(deps)} dependencies, need exactly 1")
     dep = deps[0]
+    if dep.diff != 1:
+        raise IIOracleError("unsupported-pattern", f"diff {dep.diff} not supported, need 1")
     pattern, _mem = classify(dfg, dep, deps)
     if pattern not in (LoopPattern.SINGLE_PATH, LoopPattern.DIVERGING_AFTER):
         raise IIOracleError("unsupported-pattern", f"pattern {pattern.value} not supported")

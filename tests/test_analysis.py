@@ -1,6 +1,7 @@
 """Loop-carried dependency extraction and pattern classification."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loopgrid.analysis import (
     DEFAULT_LATENCIES,
@@ -11,6 +12,8 @@ from loopgrid.analysis import (
     path_latency,
 )
 from loopgrid.ir import DfgError, load_dfg, parse_dfg
+
+from _random_graphs import random_dfg
 
 
 def deps_of(fixtures, name):
@@ -113,3 +116,84 @@ def test_analysis_stable_under_latency_table(fixtures):
         (d.producer, d.consumer, d.diff) for d in deps2
     ]
     assert classify(g, deps2[0], deps2)[0] is LoopPattern.DIVERGING_AFTER
+
+
+def all_intra_paths(g, start, goal):
+    """Every simple intra-edge path start -> goal (exponential; oracle only)."""
+    if start == goal:
+        yield (start,)
+        return
+    succ = {}
+    for e in g.intra_edges():
+        succ.setdefault(e.src, []).append(e.dst)
+    stack = [(start, (start,))]
+    while stack:
+        nid, path = stack.pop()
+        for nxt in sorted(succ.get(nid, []), reverse=True):
+            if nxt == goal:
+                yield path + (nxt,)
+            elif nxt not in path:
+                stack.append((nxt, path + (nxt,)))
+
+
+def enumerated_paths(g, latencies):
+    """Per back edge: the costliest path, ties to the smallest node sequence."""
+    return [
+        min((-path_latency(g, p, latencies), p) for p in all_intra_paths(g, be.dst, be.src))[1]
+        for be in g.back_edges()
+    ]
+
+
+# small latencies, so that equal-cost paths and the tie-break come up often
+LATENCY_TABLES = st.fixed_dictionaries(
+    {cls: st.integers(min_value=1, max_value=4) for cls in DEFAULT_LATENCIES})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000), LATENCY_TABLES)
+def test_find_deps_matches_path_enumeration(seed, latencies):
+    g = random_dfg(seed)  # back edges only ever close reachable paths
+    expected = enumerated_paths(g, latencies)
+    deps = find_deps(g, latencies)
+    assert [d.dependent_path for d in deps] == expected
+    assert [d.back_edge for d in deps] == g.back_edges()
+
+
+def diamond_chain(depth, arms):
+    """``depth`` diamonds in series from consumer 1 to the last join; each
+    diamond's two arms have kinds ``arms`` (smaller id first), and the
+    larger-id arm's edges are listed first."""
+    lines = ["node 0 const 1", "node 1 add", "edge 0 1 1"]
+    top, path_small, path_large = 1, [1], [1]
+    for k in range(depth):
+        small, large, join = 2 + 3 * k, 3 + 3 * k, 4 + 3 * k
+        lines += [f"node {small} {arms[0]}", f"node {large} {arms[1]}", f"node {join} add",
+                  f"edge {top} {large} 0", f"edge 0 {large} 1",
+                  f"edge {top} {small} 0", f"edge 0 {small} 1",
+                  f"edge {large} {join} 0", f"edge {small} {join} 1"]
+        path_small += [small, join]
+        path_large += [large, join]
+        top = join
+    lines += [f"back {top} 1 0 1", "livein x 1 0 0", f"liveout {top}"]
+    return parse_dfg("\n".join(lines)), tuple(path_small), tuple(path_large)
+
+
+def test_deep_diamond_chain_takes_costlier_arm():
+    # 2**40 consumer-to-producer paths; the fpu arm (the larger id) wins each diamond
+    g, _small, large = diamond_chain(40, ("add", "fadd"))
+    (dep,) = find_deps(g)
+    assert dep.dependent_path == large
+    assert path_latency(g, dep.dependent_path) == 1 + 40 * (4 + 1)
+
+
+def test_deep_diamond_chain_ties_to_smaller_id():
+    g, small, _large = diamond_chain(40, ("add", "add"))
+    (dep,) = find_deps(g)
+    assert dep.dependent_path == small
+    assert classify(g, dep, [dep])[0] is LoopPattern.DIVERGING_BEFORE
+
+
+def test_intra_cycle_rejected(data_dir):
+    with pytest.raises(DfgError) as exc:
+        find_deps(load_dfg(str(data_dir / "intra_cycle.dfg")))
+    assert exc.value.code == "intra-cycle"

@@ -112,3 +112,12 @@ def test_bad_input_exits_nonzero(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 1
     assert proc.stderr.strip()
+
+
+@pytest.mark.parametrize("cmd", [["analyze"], ["map"], ["sim", "--mode", "dr", "--threads", "4"]],
+                         ids=["analyze", "map", "sim"])
+def test_intra_cycle_exits_nonzero(data_dir, cmd):
+    proc = subprocess.run(CLI + cmd + [str(data_dir / "intra_cycle.dfg")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: intra-cycle")

@@ -21,7 +21,7 @@ from loopgrid.grid import (
     place,
     route,
 )
-from loopgrid.ir import load_dfg, parse_dfg
+from loopgrid.ir import DfgError, load_dfg, parse_dfg
 
 from _random_graphs import random_dfg
 
@@ -176,3 +176,9 @@ def test_map_random_graphs(seed):
     for e in g.edges:
         assert cfg.routes[e.key()].latency == manhattan(
             cfg.placement[e.src], cfg.placement[e.dst])
+
+
+def test_map_rejects_intra_cycle(data_dir):
+    with pytest.raises(DfgError) as exc:
+        map_graph(load_dfg(str(data_dir / "intra_cycle.dfg")))
+    assert exc.value.code == "intra-cycle"

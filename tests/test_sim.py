@@ -171,6 +171,18 @@ def test_ii_oracle_refuses_unsupported_patterns(fixtures):
         assert exc.value.code == "unsupported-pattern"
 
 
+def test_ii_oracle_refuses_carry_distance_above_one():
+    # three threads circulate a diff-3 recurrence at once; the closed form
+    # (13 baseline, 2 dr) would overstate the measured II (4.33, 1.0)
+    g = parse_dfg("node 0 const 1\nnode 1 add\nedge 0 1 1\nback 1 1 0 3\n"
+                  "livein c 1 0 0 0 0\nliveout 1")
+    cfg = map_graph(g)
+    for mode in ("dr", "baseline"):
+        with pytest.raises(IIOracleError) as exc:
+            steady_state_ii(cfg, g, MachineParams(mode=mode, n_threads=512))
+        assert exc.value.code == "unsupported-pattern"
+
+
 def test_ii_oracle_matches_measurement_where_supported(fixtures):
     for name in ("scenario1.dfg", "scenario1f.dfg", "scenario2.dfg",
                  "scenario4.dfg", "wrf_nomem.dfg", "wrf_mem.dfg"):
