@@ -128,10 +128,6 @@ class DataflowGraph:
                 feeders[e.slot] = e
         return feeders
 
-    def dependent_slots(self) -> dict[tuple[int, int], Edge]:
-        """Map (node, slot) -> back edge feeding it."""
-        return {(e.dst, e.slot): e for e in self.back_edges()}
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -157,9 +153,16 @@ def _parse_scalar(tok: str):
 def parse_dfg(text: str) -> DataflowGraph:
     """Parse the line-oriented textual IR.  Raises DfgError on any defect."""
     g = DataflowGraph()
-    seen_slots: set[tuple[int, int]] = set()
+    bound: dict[tuple[int, int], str] = {}  # (node, slot) -> what feeds it
     liveouts: list[tuple[int, int]] = []
     pending_refs: list[tuple[int, int]] = []  # (line, node id) to check after all nodes
+
+    def bind(nid: int, slot: int, feeder: str, lineno: int):
+        # a slot takes one feeder; only a back edge may share it with a livein
+        prev = bound.get((nid, slot))
+        if prev is not None and {prev, feeder} != {"back", "livein"}:
+            raise DfgError("duplicate-slot", f"slot {slot} of node {nid} bound twice", lineno)
+        bound[(nid, slot)] = feeder if prev is None else "back+livein"
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -197,9 +200,7 @@ def parse_dfg(text: str) -> DataflowGraph:
         elif head in ("edge", "back"):
             src, dst, slot = want_int(0), want_int(1), want_int(2)
             pending_refs += [(lineno, src), (lineno, dst)]
-            if (dst, slot) in seen_slots:
-                raise DfgError("duplicate-slot", f"slot {slot} of node {dst} bound twice", lineno)
-            seen_slots.add((dst, slot))
+            bind(dst, slot, head, lineno)
             if head == "back":
                 diff = want_int(3)
                 if diff < 1:
@@ -217,6 +218,7 @@ def parse_dfg(text: str) -> DataflowGraph:
                 raise DfgError("syntax", "bad livein value", lineno)
             if name in g.live_in:
                 raise DfgError("duplicate-slot", f"livein '{name}' declared twice", lineno)
+            bind(nid, slot, head, lineno)
             pending_refs.append((lineno, nid))
             g.live_in[name] = LiveIn(name, nid, slot, values)
         elif head == "liveout":
@@ -329,14 +331,16 @@ def validate(g: DataflowGraph) -> list[Violation]:
         if nd.id != i:
             out.append(Violation("non-dense-ids", f"node {nd.id} at position {i}"))
 
-    seen: set[tuple[int, int]] = set()
+    # (node, slot) -> the edges and the liveins feeding it, indexed once
+    edges_in: dict[tuple[int, int], list[Edge]] = {}
+    liveins_in: dict[tuple[int, int], list[LiveIn]] = {}
     for e in g.edges:
         for nid in (e.src, e.dst):
             if not 0 <= nid < n:
                 out.append(Violation("dangling-reference", f"edge endpoint {nid} missing"))
-        if (e.dst, e.slot) in seen:
+        if (e.dst, e.slot) in edges_in:
             out.append(Violation("duplicate-slot", f"slot {e.slot} of node {e.dst} bound twice"))
-        seen.add((e.dst, e.slot))
+        edges_in.setdefault((e.dst, e.slot), []).append(e)
         if e.kind == "back" and (e.diff is None or e.diff < 1):
             out.append(Violation("bad-diff", f"back edge {e.src}->{e.dst} diff={e.diff}"))
         if 0 <= e.dst < n and e.slot >= g.node(e.dst).n_inputs:
@@ -346,37 +350,44 @@ def validate(g: DataflowGraph) -> list[Violation]:
         if 0 <= lv.node < n and lv.slot >= g.node(lv.node).n_inputs:
             out.append(Violation("arity-mismatch", f"livein '{lv.name}': node {lv.node} "
                                  f"({g.node(lv.node).kind}) has no slot {lv.slot}"))
+        liveins_in.setdefault((lv.node, lv.slot), []).append(lv)
 
-    # every non-const input slot fed exactly once
+    # every non-const input slot fed exactly once (a back edge plus its livein
+    # counts as one feeder)
     for nd in g.nodes:
         for slot in range(nd.n_inputs):
-            srcs = [e for e in g.edges if e.dst == nd.id and e.slot == slot]
-            lvs = [lv for lv in g.live_in.values() if lv.node == nd.id and lv.slot == slot]
+            srcs = edges_in.get((nd.id, slot), [])
+            lvs = liveins_in.get((nd.id, slot), [])
             if not srcs and not lvs:
                 out.append(Violation("unfed-slot", f"slot {slot} of node {nd.id} has no input"))
-            if srcs and any(e.kind == "intra" for e in srcs) and lvs:
+            if any(e.kind == "intra" for e in srcs) and lvs:
                 out.append(Violation("duplicate-slot",
                                      f"slot {slot} of node {nd.id} has both edge and livein"))
+            if len(lvs) > 1:
+                out.append(Violation("duplicate-slot",
+                                     f"slot {slot} of node {nd.id} has {len(lvs)} liveins"))
 
     # intra edges must form a DAG
     if topo_order(g) is None:
         out.append(Violation("intra-cycle", "intra-iteration edges contain a cycle"))
 
     # dependent slots need initial values covering threads < diff
-    for (nid, slot), be in g.dependent_slots().items():
-        lvs = [lv for lv in g.live_in.values() if lv.node == nid and lv.slot == slot]
+    per_node: dict[int, int] = {}  # dependent input slots per node
+    for (nid, slot), srcs in edges_in.items():
+        diffs = [e.diff for e in srcs if e.kind == "back"]
+        if not diffs:
+            continue
+        per_node[nid] = per_node.get(nid, 0) + 1
+        lvs = liveins_in.get((nid, slot))
         if not lvs:
             out.append(Violation("missing-livein",
                                  f"dependent slot {slot} of node {nid} has no initial values",
                                  "warning"))
-        elif len(lvs[0].values) != be.diff:
+        elif len(lvs[0].values) != diffs[-1]:
             out.append(Violation("livein-length",
-                                 f"slot {slot} of node {nid} needs {be.diff} initial values"))
+                                 f"slot {slot} of node {nid} needs {diffs[-1]} initial values"))
 
     # a unit supports at most one dependent input slot (warning: grid mapping rejects it)
-    per_node: dict[int, int] = {}
-    for (nid, _slot) in g.dependent_slots():
-        per_node[nid] = per_node.get(nid, 0) + 1
     for nid, cnt in per_node.items():
         if cnt > 1:
             out.append(Violation("multi-dependent-input",

@@ -15,6 +15,11 @@ two ways depending on the mode:
   from the grid port to the consumer cell, and the consuming thread stalls
   until it arrives.
 
+A dependent slot's live-in injector stops at ``diff`` (its selector serves
+later threads the carried value), so ``selector_drops`` is always 0.  A cycle
+with no progress and nothing in flight before every live-out exists raises
+DeadlockError at once: no state changed, so every later cycle would repeat it.
+
 Within one cycle all reads happen against start-of-cycle state, so the
 outcome is independent of unit iteration order.  A single simulation is
 strictly single-threaded; distinct simulations share no state.
@@ -72,7 +77,7 @@ class SimReport:
     fires: dict[int, int]
     stalls: dict[int, int]
     dropped_retags: int
-    selector_drops: int
+    selector_drops: int  # always 0: injectors stop at diff on a dependent slot
     live_out: list[dict[int, object]]
     measured_ii: float | None
 
@@ -93,6 +98,8 @@ class SimReport:
 
 
 class DeadlockError(Exception):
+    """Raised at the first cycle with no progress and nothing in flight."""
+
     def __init__(self, cycle: int, detail: str):
         self.cycle = cycle
         super().__init__(f"deadlock at cycle {cycle}: {detail}")
@@ -147,16 +154,16 @@ class SimState:
                 delay = config.reinjection_latency(e.dst) + params.spill_latency
                 self.carriers.setdefault(e.src, []).append((e.dst, e.slot, e.diff, delay))
 
-        self.dep_slots = {(e.dst, e.slot): e.diff for e in dfg.back_edges()}
         self.out_links: dict[int, list[tuple[int, int, int]]] = {nd.id: [] for nd in dfg.nodes}
         for e in dfg.intra_edges():
             self.out_links[e.src].append((e.dst, e.slot, config.routes[e.key()].latency))
 
-        # live-in injectors: (node, slot, livein, next tid, tid limit)
+        # live-in injectors: (node, slot, livein, next tid, tid limit); on a
+        # dependent slot only threads below diff take a live-in value
+        dep_diff = {(e.dst, e.slot): e.diff for e in dfg.back_edges()}
         self.injectors = []
         for lv in dfg.live_in.values():
-            limit = self.dep_slots.get((lv.node, lv.slot), None)
-            limit = params.n_threads if limit is None else min(limit, params.n_threads)
+            limit = min(dep_diff.get((lv.node, lv.slot), params.n_threads), params.n_threads)
             self.injectors.append([lv.node, lv.slot, lv, 0, limit])
 
         self.memory = dict(dfg.memory_image)
@@ -165,7 +172,6 @@ class SimState:
         self.completions: dict[int, list] = {}
         self.cycle = 0
         self.dropped_retags = 0
-        self.selector_drops = 0
         self.liveout_vals: dict[int, dict[int, object]] = {n: {} for n in dfg.live_out}
 
         # unit whose issue cadence defines the measured initiation interval
@@ -176,13 +182,6 @@ class SimState:
         else:
             self.primary = dfg.live_out[0] if dfg.live_out else 0
         self.primary_issues: list[int] = []  # cycles at which the primary unit fired
-
-        routes_max = max((r.latency for r in config.routes.values()), default=0)
-        lat_max = max(u.latency for u in self.units.values())
-        reinj = max((config.reinjection_latency(n) for n in self.units), default=0)
-        extra = max((a.feedback_latency for a in config.feedback), default=0)
-        self.idle_limit = lat_max + routes_max + params.spill_latency + reinj + extra + 4
-        self.idle = 0
 
     # -- helpers -----------------------------------------------------------
 
@@ -197,14 +196,8 @@ class SimState:
     def _room(self, unit: _Unit, slot: int) -> bool:
         return len(unit.buffers[slot]) + unit.reserved[slot] < self.config.spec.token_buffer_depth
 
-    def _put(self, nid: int, slot: int, tid: int, value, source: str):
+    def _put(self, nid: int, slot: int, tid: int, value):
         unit = self.units[nid]
-        if source == "livein" and self.params.mode == "dr":
-            diff = self.dep_slots.get((nid, slot))
-            if diff is not None and tid >= diff:
-                self.selector_drops += 1
-                self._emit_trace("drop", nid, tid, value)
-                return
         if tid in unit.buffers[slot]:
             raise SimInvariantError(
                 f"duplicate token (node {nid}, slot {slot}, thread {tid})")
@@ -225,7 +218,7 @@ class SimState:
         for nid, slot, tid, value, source in self.arrivals.pop(c, ()):
             if source == "route":
                 self.units[nid].reserved[slot] -= 1
-            self._put(nid, slot, tid, value, source)
+            self._put(nid, slot, tid, value)
             progress = True
 
         # 2. completions: results become emittable; loop-carried copies are
@@ -252,8 +245,7 @@ class SimState:
 
         # 3. emission: one held result per unit per cycle, all fan-out
         #    destinations must have room (back-pressure)
-        for nid in sorted(self.units):
-            unit = self.units[nid]
+        for nid, unit in self.units.items():
             if not unit.out_queue:
                 continue
             tid, value = unit.out_queue[0]
@@ -263,16 +255,17 @@ class SimState:
                 progress = True
                 for dst, slot, lat in links:
                     if lat == 0:
-                        self._put(dst, slot, tid, value, "route")
+                        self._put(dst, slot, tid, value)
                     else:
                         self.units[dst].reserved[slot] += 1
                         self.arrivals.setdefault(c + lat, []).append(
                             (dst, slot, tid, value, "route"))
 
-        # 4. firing: lowest matching thread id first; a unit holding an
-        #    unemitted result stalls its pipeline
-        for nid in sorted(self.units):
-            unit = self.units[nid]
+        # 4. firing: lowest matching thread id first; a unit with buffered
+        #    tokens stalls while it holds an unemitted result, while no thread
+        #    id is in every slot, or while loads are at the outstanding cap
+        mem_cap = self.params.mem_max_outstanding
+        for nid, unit in self.units.items():
             nd = unit.node
             if nd.kind == "const":
                 if unit.next_tid < self.params.n_threads and not unit.out_queue:
@@ -286,30 +279,16 @@ class SimState:
                 continue
             if not any(unit.buffers):
                 continue
-            occupied = any(unit.buffers[s] for s in range(unit.arity))
-            if unit.out_queue:
-                if occupied:
-                    unit.stalls += 1
-                    self._emit_trace("stall", nid, -1, 0)
-                continue
-            common = set(unit.buffers[0])
-            for s in range(1, unit.arity):
-                common &= set(unit.buffers[s])
-            if not common:
-                if occupied:
-                    unit.stalls += 1
-                    self._emit_trace("stall", nid, -1, 0)
-                continue
-            if nd.kind == "load" and self.params.mem_max_outstanding is not None \
-                    and self.mem_outstanding >= self.params.mem_max_outstanding:
+            common = not unit.out_queue and set(unit.buffers[0]).intersection(*unit.buffers[1:])
+            if not common or (nd.kind == "load" and mem_cap is not None
+                              and self.mem_outstanding >= mem_cap):
                 unit.stalls += 1
                 self._emit_trace("stall", nid, -1, 0)
                 continue
             tid = min(common)
             ins = [unit.buffers[s].pop(tid) for s in range(unit.arity)]
-            a = ins[0] if ins else None
-            b = ins[1] if len(ins) > 1 else None
-            value = eval_op(nd.kind, a, b, self.memory)
+            b = ins[1] if unit.arity == 2 else None
+            value = eval_op(nd.kind, ins[0], b, self.memory)
             if nd.kind == "load":
                 self.mem_outstanding += 1
             unit.fires += 1
@@ -324,18 +303,14 @@ class SimState:
             nid, slot, lv, next_tid, limit = inj
             unit = self.units[nid]
             while next_tid < limit and self._room(unit, slot):
-                self._put(nid, slot, next_tid, lv.value_for(next_tid), "livein")
+                self._put(nid, slot, next_tid, lv.value_for(next_tid))
                 next_tid += 1
                 progress = True
             inj[3] = next_tid
 
-        if progress or self.arrivals or self.completions:
-            self.idle = 0
-        else:
-            self.idle += 1
-            if self.idle > self.idle_limit and not self.done():
-                pending = {n: len(v) for n, v in self.liveout_vals.items()}
-                raise DeadlockError(self.cycle, f"live-out progress stuck at {pending}")
+        if not (progress or self.arrivals or self.completions or self.done()):
+            pending = {n: len(v) for n, v in self.liveout_vals.items()}
+            raise DeadlockError(c, f"live-out progress stuck at {pending}")
 
     def report(self) -> SimReport:
         n = self.params.n_threads
@@ -355,7 +330,7 @@ class SimState:
             fires={nid: u.fires for nid, u in self.units.items()},
             stalls={nid: u.stalls for nid, u in self.units.items()},
             dropped_retags=self.dropped_retags,
-            selector_drops=self.selector_drops,
+            selector_drops=0,
             live_out=live,
             measured_ii=ii,
         )

@@ -121,3 +121,14 @@ def test_intra_cycle_exits_nonzero(data_dir, cmd):
                           capture_output=True, text=True)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: intra-cycle")
+
+
+def test_livein_on_fed_slot_exits_nonzero(tmp_path):
+    # the simulator never validates, so the parser must refuse the second feeder
+    path = tmp_path / "g.dfg"
+    path.write_text("node 0 const 1\nnode 1 add\nedge 0 1 0\nedge 0 1 1\n"
+                    "livein a 1 0 5\nliveout 1\n")
+    proc = subprocess.run(CLI + ["sim", "--mode", "dr", "--threads", "4", str(path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: duplicate-slot")

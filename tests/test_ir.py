@@ -1,5 +1,6 @@
 """Graph format, validation, and the sequential reference interpreter."""
 
+import itertools
 import json
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from loopgrid.ir import (
     DfgError,
+    LiveIn,
     eval_op,
     format_dfg,
     load_dfg,
@@ -130,6 +132,48 @@ def test_validate_flags_constructed_zero_diff():
         for e in g.edges
     ]
     assert "bad-diff" in {v.code for v in validate(g)}
+
+
+# legal declarations after the two nodes; adding SECOND_LIVEIN to either
+# feeds slot 0 of the add twice
+SLOT_FED_ONCE = {
+    "two-liveins": ["edge 0 1 1", "livein a 1 0 5", "liveout 1"],
+    "livein-on-edge-slot": ["edge 0 1 0", "edge 0 1 1", "liveout 1"],
+}
+SECOND_LIVEIN = "livein b 1 0 7"
+
+
+@pytest.mark.parametrize("legal", SLOT_FED_ONCE.values(), ids=SLOT_FED_ONCE.keys())
+def test_slot_fed_twice_through_livein_rejected(legal, tmp_path):
+    nodes = ["node 0 const 1", "node 1 add"]
+    for perm in itertools.permutations([*legal, SECOND_LIVEIN]):
+        with pytest.raises(DfgError) as exc:
+            parse_dfg("\n".join(nodes + list(perm)))
+        assert exc.value.code == "duplicate-slot", perm
+    doc = dfg_to_json(parse_dfg("\n".join(nodes + legal)))
+    doc["livein"].append({"name": "b", "node": 1, "slot": 0, "values": [7]})
+    (tmp_path / "g.json").write_text(json.dumps(doc))
+    (tmp_path / "g.dfg").write_text("\n".join(nodes + legal + [SECOND_LIVEIN]))
+    for load in (lambda: parse_dfg_json(json.dumps(doc)),
+                 lambda: load_dfg(str(tmp_path / "g.json")),
+                 lambda: load_dfg(str(tmp_path / "g.dfg"))):
+        with pytest.raises(DfgError) as exc:
+            load()
+        assert exc.value.code == "duplicate-slot"
+
+
+def test_livein_on_back_edge_slot_is_legal():
+    rest = ["edge 0 1 1", "back 1 1 0 1", "livein a 1 0 5", "liveout 1"]
+    for perm in itertools.permutations(rest):
+        g = parse_dfg("\n".join(["node 0 const 1", "node 1 add", *perm]))
+        assert validate(g) == [], perm
+
+
+def test_validate_flags_two_liveins_on_one_slot():
+    # parse_dfg refuses this graph, so build it by hand
+    g = parse_dfg("node 0 const 1\nnode 1 add\nedge 0 1 1\nlivein a 1 0 5\nliveout 1")
+    g.live_in["b"] = LiveIn("b", 1, 0, (7,))
+    assert [v.code for v in validate(g)] == ["duplicate-slot"]
 
 
 def test_validate_missing_livein_is_warning():

@@ -158,8 +158,18 @@ def test_unseeded_back_edge_deadlocks():
     g = parse_dfg(
         "node 0 const 1\nnode 1 add\nedge 0 1 0\nback 1 1 1 1\nliveout 1")
     cfg = map_graph(g)
-    with pytest.raises(DeadlockError):
-        simulate(cfg, g, MachineParams(mode="dr", n_threads=4))
+    for mode in ("dr", "baseline"):
+        with pytest.raises(DeadlockError) as exc:
+            simulate(cfg, g, MachineParams(mode=mode, n_threads=4))
+        # caught at the first cycle with no progress and nothing in flight
+        assert exc.value.cycle == 7, mode
+
+
+def test_empty_graph_matches_reference():
+    g = parse_dfg("")
+    rep = simulate(map_graph(g), g, MachineParams(mode="dr", n_threads=3))
+    assert rep.live_out == reference_execute(g, 3)
+    assert rep.total_cycles == 0
 
 
 def test_ii_oracle_refuses_unsupported_patterns(fixtures):
