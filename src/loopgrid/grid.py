@@ -46,6 +46,18 @@ class GridSpec:
     hop_latency: int = 1
     token_buffer_depth: int = 16
 
+    def __post_init__(self):
+        # every scheduled arrival and completion must lie strictly after the
+        # cycle that schedules it; a zero-hop route is delivered in place
+        if self.hop_latency < 0:
+            raise ValueError(f"hop_latency must be at least 0, got {self.hop_latency}")
+        for cls, lat in self.latencies.items():
+            if lat < 1:
+                raise ValueError(f"latency of '{cls}' must be at least 1, got {lat}")
+        if self.token_buffer_depth < 1:
+            raise ValueError(
+                f"token_buffer_depth must be at least 1, got {self.token_buffer_depth}")
+
     def cells_of(self, cls: str) -> list[tuple[int, int]]:
         return sorted(c for c, k in self.unit_map.items() if k == cls)
 
@@ -65,15 +77,14 @@ class GridSpec:
         for key, k in doc.get("unit_map", {}).items():
             r, c = key.split(",")
             unit_map[(int(r), int(c))] = k
-        spec = cls(
+        return cls(
             rows=doc.get("rows", 8),
             cols=doc.get("cols", 8),
             unit_map=unit_map,
+            latencies={**DEFAULT_LATENCIES, **doc.get("latencies", {})},
             hop_latency=doc.get("hop_latency", 1),
             token_buffer_depth=doc.get("token_buffer_depth", 16),
         )
-        spec.latencies.update(doc.get("latencies", {}))
-        return spec
 
 
 def default_grid() -> GridSpec:

@@ -343,11 +343,11 @@ def validate(g: DataflowGraph) -> list[Violation]:
         edges_in.setdefault((e.dst, e.slot), []).append(e)
         if e.kind == "back" and (e.diff is None or e.diff < 1):
             out.append(Violation("bad-diff", f"back edge {e.src}->{e.dst} diff={e.diff}"))
-        if 0 <= e.dst < n and e.slot >= g.node(e.dst).n_inputs:
+        if 0 <= e.dst < n and not 0 <= e.slot < g.node(e.dst).n_inputs:
             out.append(Violation("arity-mismatch",
                                  f"node {e.dst} ({g.node(e.dst).kind}) has no slot {e.slot}"))
     for lv in g.live_in.values():
-        if 0 <= lv.node < n and lv.slot >= g.node(lv.node).n_inputs:
+        if 0 <= lv.node < n and not 0 <= lv.slot < g.node(lv.node).n_inputs:
             out.append(Violation("arity-mismatch", f"livein '{lv.name}': node {lv.node} "
                                  f"({g.node(lv.node).kind}) has no slot {lv.slot}"))
         liveins_in.setdefault((lv.node, lv.slot), []).append(lv)

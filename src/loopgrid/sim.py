@@ -16,13 +16,32 @@ two ways depending on the mode:
   until it arrives.
 
 A dependent slot's live-in injector stops at ``diff`` (its selector serves
-later threads the carried value), so ``selector_drops`` is always 0.  A cycle
-with no progress and nothing in flight before every live-out exists raises
-DeadlockError at once: no state changed, so every later cycle would repeat it.
+later threads the carried value), so ``selector_drops`` is always 0.
 
-Within one cycle all reads happen against start-of-cycle state, so the
-outcome is independent of unit iteration order.  A single simulation is
-strictly single-threaded; distinct simulations share no state.
+Each cycle runs five phases in order: arrivals enter buffers, completions
+queue results and schedule carried copies, units emit held results (node
+order), units fire (node order), live-ins are injected.  A token routed
+with zero latency lands during emission and can fire the same cycle.  Node
+order matters in two places: an emission can fill the slot a later unit's
+emission needed, and under ``mem_max_outstanding`` a load that fires takes
+a slot a higher-numbered load in the same cycle then lacks.
+
+The kernel is event-driven but reproduces the cycle-by-cycle outcome
+exactly.  A unit's firing outcome depends only on its buffers, its held
+results and, for loads, ``mem_outstanding``, so the firing phase visits only
+units whose buffers or held results changed or that fired last cycle, and
+under the cap every load once a load completes (a rising count cannot
+unblock one); any other unit would repeat its last outcome.  A blocked
+emitter is retried only after one of its destinations fires (nothing else
+frees room), and a live-in injector only after its unit fires.  When nothing
+is left to visit, the kernel jumps to the next pending arrival or
+completion.  A stalling unit records the cycle its stall run began and is
+credited the run's length when it next fires or when the report is built;
+with a text trace attached, the stall line of every stalling unit is still
+written for every cycle, skipped ones included.  A cycle with no progress
+and nothing in flight before every live-out exists raises DeadlockError at
+once: no state changed, so every later cycle would repeat it.  A single
+simulation is strictly single-threaded; distinct simulations share no state.
 """
 
 from __future__ import annotations
@@ -33,7 +52,7 @@ from typing import NamedTuple
 
 from .analysis import LoopPattern, classify, find_deps
 from .grid import GridConfig, GridSpec
-from .ir import DataflowGraph, Node, eval_op
+from .ir import DataflowGraph, DfgError, Node, eval_op
 
 
 class Token(NamedTuple):
@@ -110,24 +129,39 @@ class SimInvariantError(AssertionError):
 
 
 class _Unit:
-    __slots__ = ("node", "cell", "latency", "arity", "buffers", "reserved",
-                 "out_queue", "next_tid", "fires", "stalls")
+    __slots__ = ("index", "node", "cell", "latency", "arity", "is_const", "is_load",
+                 "emits", "buffers", "reserved", "out_queue", "links", "feeders",
+                 "carriers", "injectors", "liveout", "next_tid", "fires", "stalls",
+                 "since")
 
-    def __init__(self, node, cell, latency):
+    def __init__(self, index, node, cell, latency):
+        self.index = index  # position in node order, which is firing order
         self.node = node
         self.cell = cell
         self.latency = latency
         self.arity = node.n_inputs
+        self.is_const = node.kind == "const"
+        self.is_load = node.kind == "load"
+        self.emits = node.kind != "sink"
         self.buffers = [dict() for _ in range(self.arity)]
-        self.reserved = [0] * max(self.arity, 1)
+        self.reserved = [0] * self.arity
         self.out_queue = deque()
+        # other units appear by index only: no reference cycles, so a finished
+        # simulation is freed at once instead of waiting for the cyclic GC
+        self.links = []  # (destination, slot, route latency)
+        self.feeders = []  # units with a route into this one
+        self.carriers = []  # (consumer, slot, diff, delay >= 1)
+        self.injectors = []  # live-in injectors on this unit still short of their limit
+        self.liveout = None  # thread id -> value, on a live-out unit
         self.next_tid = 0  # const issue counter
         self.fires = 0
-        self.stalls = 0
+        self.stalls = 0  # stall cycles credited so far
+        self.since = None  # first cycle of the current uncredited stall run
 
 
 class SimState:
-    """One in-flight simulation; ``step`` advances a single global cycle."""
+    """One in-flight simulation; ``step`` runs the next cycle in which
+    anything can happen, crediting the stalls of the quiet cycles it skips."""
 
     def __init__(self, config: GridConfig, dfg: DataflowGraph, params: MachineParams,
                  trace=None):
@@ -136,35 +170,47 @@ class SimState:
         self.params = params
         self.trace = trace
 
-        self.units: dict[int, _Unit] = {}
-        for nd in dfg.nodes:
-            self.units[nd.id] = _Unit(nd, config.placement[nd.id],
-                                      unit_latency(nd, config.spec, params))
+        # parse_dfg accepts any slot number; a token for a missing slot has no buffer
+        nodes = {nd.id: nd for nd in dfg.nodes}
+        feeds = [(e.dst, e.slot, f"{e.kind} edge {e.src}->{e.dst}") for e in dfg.edges]
+        feeds += [(lv.node, lv.slot, f"livein '{lv.name}'") for lv in dfg.live_in.values()]
+        for nid, slot, what in feeds:
+            nd = nodes.get(nid)
+            if nd is not None and not 0 <= slot < nd.n_inputs:
+                raise DfgError("arity-mismatch",
+                               f"{what}: node {nid} ({nd.kind}) has no slot {slot}")
 
-        # per producer: list of (consumer, slot, diff, extra delay)
-        self.carriers: dict[int, list[tuple[int, int, int, int]]] = {}
+        self.units = [_Unit(i, nd, config.placement[nd.id], unit_latency(nd, config.spec, params))
+                      for i, nd in enumerate(dfg.nodes)]
+        by_id = {u.node.id: u for u in self.units}
+
         spilled = {e.key() for e in dfg.back_edges()}
         if params.mode == "dr":
             for att in config.feedback:
-                self.carriers.setdefault(att.producer, []).append(
-                    (att.consumer, att.consumer_slot, att.diff, att.feedback_latency))
+                by_id[att.producer].carriers.append(
+                    (by_id[att.consumer].index, att.consumer_slot, att.diff,
+                     att.feedback_latency))
             spilled = set(config.baseline_only)
         for e in dfg.back_edges():
             if e.key() in spilled:
                 delay = config.reinjection_latency(e.dst) + params.spill_latency
-                self.carriers.setdefault(e.src, []).append((e.dst, e.slot, e.diff, delay))
+                by_id[e.src].carriers.append((by_id[e.dst].index, e.slot, e.diff, max(delay, 1)))
 
-        self.out_links: dict[int, list[tuple[int, int, int]]] = {nd.id: [] for nd in dfg.nodes}
         for e in dfg.intra_edges():
-            self.out_links[e.src].append((e.dst, e.slot, config.routes[e.key()].latency))
+            src, dst = by_id[e.src], by_id[e.dst]
+            src.links.append((dst.index, e.slot, config.routes[e.key()].latency))
+            if src.index not in dst.feeders:
+                dst.feeders.append(src.index)
 
-        # live-in injectors: (node, slot, livein, next tid, tid limit); on a
+        # live-in injectors: [unit index, slot, livein, next tid, tid limit]; on a
         # dependent slot only threads below diff take a live-in value
         dep_diff = {(e.dst, e.slot): e.diff for e in dfg.back_edges()}
-        self.injectors = []
+        self._inject = []
         for lv in dfg.live_in.values():
             limit = min(dep_diff.get((lv.node, lv.slot), params.n_threads), params.n_threads)
-            self.injectors.append([lv.node, lv.slot, lv, 0, limit])
+            inj = [by_id[lv.node].index, lv.slot, lv, 0, limit]
+            by_id[lv.node].injectors.append(inj)
+            self._inject.append(inj)
 
         self.memory = dict(dfg.memory_image)
         self.mem_outstanding = 0
@@ -173,142 +219,226 @@ class SimState:
         self.cycle = 0
         self.dropped_retags = 0
         self.liveout_vals: dict[int, dict[int, object]] = {n: {} for n in dfg.live_out}
+        for nid, vals in self.liveout_vals.items():
+            by_id[nid].liveout = vals
+        self._missing = params.n_threads * len(self.liveout_vals)  # values still to produce
+        self._loads = {u.index for u in self.units if u.is_load}
+
+        # units to examine in the next firing pass (every unit in cycle 1), and
+        # units whose held result may be emittable in the next emission pass
+        self._wake = {u.index for u in self.units}
+        self._emit: set[int] = set()
 
         # unit whose issue cadence defines the measured initiation interval
         if params.mode == "dr" and config.feedback:
-            self.primary = config.feedback[0].consumer
+            primary = config.feedback[0].consumer
         elif dfg.back_edges():
-            self.primary = dfg.back_edges()[0].dst
+            primary = dfg.back_edges()[0].dst
         else:
-            self.primary = dfg.live_out[0] if dfg.live_out else 0
+            primary = dfg.live_out[0] if dfg.live_out else 0
+        self._primary = by_id.get(primary)
         self.primary_issues: list[int] = []  # cycles at which the primary unit fired
 
     # -- helpers -----------------------------------------------------------
 
-    def _emit_trace(self, event, unit, tid, value):
-        if self.trace is not None:
-            cell = self.units[unit].cell
-            self.trace.write(
-                f"cycle={self.cycle} unit={cell[0]},{cell[1]} event={event} "
-                f"thread={tid} value={value}\n"
-            )
+    def _emit_trace(self, cycle, event, unit, tid, value):
+        cell = unit.cell
+        self.trace.write(
+            f"cycle={cycle} unit={cell[0]},{cell[1]} event={event} "
+            f"thread={tid} value={value}\n"
+        )
 
-    def _room(self, unit: _Unit, slot: int) -> bool:
-        return len(unit.buffers[slot]) + unit.reserved[slot] < self.config.spec.token_buffer_depth
-
-    def _put(self, nid: int, slot: int, tid: int, value):
-        unit = self.units[nid]
-        if tid in unit.buffers[slot]:
+    @staticmethod
+    def _put(unit: _Unit, slot: int, tid: int, value):
+        buf = unit.buffers[slot]
+        if tid in buf:
             raise SimInvariantError(
-                f"duplicate token (node {nid}, slot {slot}, thread {tid})")
-        unit.buffers[slot][tid] = value
+                f"duplicate token (node {unit.node.id}, slot {slot}, thread {tid})")
+        buf[tid] = value
 
     def done(self) -> bool:
-        n = self.params.n_threads
-        return all(len(v) == n for v in self.liveout_vals.values())
+        return self._missing == 0
 
-    # -- one global cycle --------------------------------------------------
+    # -- the next eventful cycle -------------------------------------------
 
     def step(self):
-        self.cycle += 1
-        c = self.cycle
+        """Run the next cycle in which anything can change: the next one if a
+        unit is woken, an emitter is ready or an injector has room, else the
+        next pending arrival or completion."""
+        trace = self.trace
+        units = self.units
+        wake, emit, inject = self._wake, self._emit, self._inject
+        arrivals, completions = self.arrivals, self.completions
+        c = self.cycle + 1
+        if not (wake or emit or inject):
+            # nothing can fire, emit or inject before the next arrival or
+            # completion; with none pending, cycle c has no progress and raises
+            c = min(arrivals.keys() | completions.keys(), default=c)
+            if trace is not None:
+                stalling = [u for u in units if u.since is not None]
+                for skipped in range(self.cycle + 1, c):
+                    for u in stalling:
+                        self._emit_trace(skipped, "stall", u, -1, 0)
+        self.cycle = c
         progress = False
+        n = self.params.n_threads
+        mem_cap = self.params.mem_max_outstanding
+        depth = self.config.spec.token_buffer_depth
 
         # 1. tokens arriving this cycle enter their buffers
-        for nid, slot, tid, value, source in self.arrivals.pop(c, ()):
-            if source == "route":
-                self.units[nid].reserved[slot] -= 1
-            self._put(nid, slot, tid, value)
+        arrived = arrivals.pop(c, None)
+        if arrived:
             progress = True
+            for i, slot, tid, value, routed in arrived:
+                u = units[i]
+                if routed:
+                    u.reserved[slot] -= 1
+                self._put(u, slot, tid, value)
+                wake.add(i)
 
         # 2. completions: results become emittable; loop-carried copies are
         #    retagged and scheduled (feedback or spill re-injection)
-        for nid, tid, value in self.completions.pop(c, ()):
-            unit = self.units[nid]
+        completed = completions.pop(c, None)
+        if completed:
             progress = True
-            if unit.node.kind == "load":
-                self.mem_outstanding -= 1
-            self._emit_trace("complete", nid, tid, value)
-            if nid in self.liveout_vals:
-                self.liveout_vals[nid][tid] = value
-            if unit.node.kind != "sink":
-                unit.out_queue.append((tid, value))
-            for consumer, slot, diff, delay in self.carriers.get(nid, ()):
-                new = ildr_retag(Token(tid, value), diff)
-                if new.thread_id >= self.params.n_threads:
-                    self.dropped_retags += 1
-                    self._emit_trace("drop", nid, new.thread_id, value)
-                else:
-                    self._emit_trace("retag", nid, new.thread_id, value)
-                    self.arrivals.setdefault(c + max(delay, 1), []).append(
-                        (consumer, slot, new.thread_id, new.value, "carry"))
-
-        # 3. emission: one held result per unit per cycle, all fan-out
-        #    destinations must have room (back-pressure)
-        for nid, unit in self.units.items():
-            if not unit.out_queue:
-                continue
-            tid, value = unit.out_queue[0]
-            links = self.out_links[nid]
-            if all(self._room(self.units[d], s) for d, s, _lat in links):
-                unit.out_queue.popleft()
-                progress = True
-                for dst, slot, lat in links:
-                    if lat == 0:
-                        self._put(dst, slot, tid, value)
+            for u, tid, value in completed:
+                if u.is_load:
+                    self.mem_outstanding -= 1
+                    if mem_cap is not None:
+                        wake |= self._loads  # a load held at the cap may issue now
+                if trace is not None:
+                    self._emit_trace(c, "complete", u, tid, value)
+                if u.liveout is not None:
+                    if tid not in u.liveout:
+                        self._missing -= 1
+                    u.liveout[tid] = value
+                if u.emits:
+                    u.out_queue.append((tid, value))
+                    if len(u.out_queue) == 1:
+                        emit.add(u.index)
+                for consumer, slot, diff, delay in u.carriers:
+                    new = ildr_retag(Token(tid, value), diff)
+                    if new.thread_id >= n:
+                        self.dropped_retags += 1
+                        if trace is not None:
+                            self._emit_trace(c, "drop", u, new.thread_id, value)
                     else:
-                        self.units[dst].reserved[slot] += 1
-                        self.arrivals.setdefault(c + lat, []).append(
-                            (dst, slot, tid, value, "route"))
+                        if trace is not None:
+                            self._emit_trace(c, "retag", u, new.thread_id, value)
+                        arrivals.setdefault(c + delay, []).append(
+                            (consumer, slot, new.thread_id, new.value, False))
 
-        # 4. firing: lowest matching thread id first; a unit with buffered
-        #    tokens stalls while it holds an unemitted result, while no thread
-        #    id is in every slot, or while loads are at the outstanding cap
-        mem_cap = self.params.mem_max_outstanding
-        for nid, unit in self.units.items():
-            nd = unit.node
-            if nd.kind == "const":
-                if unit.next_tid < self.params.n_threads and not unit.out_queue:
-                    tid = unit.next_tid
-                    unit.next_tid += 1
-                    unit.fires += 1
+        # 3. emission, in node order: one held result per unit per cycle, all
+        #    fan-out destinations must have room (back-pressure).  Room only
+        #    grows when a destination fires, so a blocked unit leaves the
+        #    emitter set until then.
+        if emit:
+            for i in sorted(emit):
+                u = units[i]
+                links = u.links
+                for d, s, _lat in links:
+                    dst = units[d]
+                    if len(dst.buffers[s]) + dst.reserved[s] >= depth:
+                        emit.discard(i)
+                        break
+                else:
                     progress = True
-                    self._emit_trace("fire", nid, tid, nd.value)
-                    self.completions.setdefault(c + unit.latency, []).append(
-                        (nid, tid, nd.value))
+                    tid, value = u.out_queue.popleft()
+                    if not u.out_queue:
+                        emit.discard(i)
+                        wake.add(i)  # no longer held back by a pending result
+                    for d, s, lat in links:
+                        if lat == 0:
+                            self._put(units[d], s, tid, value)
+                            wake.add(d)
+                        else:
+                            units[d].reserved[s] += 1
+                            arrivals.setdefault(c + lat, []).append((d, s, tid, value, True))
+
+        # 4. firing, in node order, of the woken units; every other unit would
+        #    repeat its last outcome.  Lowest matching thread id first; a unit
+        #    with buffered tokens stalls while it holds an unemitted result,
+        #    while no thread id is in every slot, or while loads are at the
+        #    outstanding cap.  Its stall run is credited when it next fires or
+        #    in report().
+        self._wake = woken = set()
+        if trace is None:
+            order = sorted(wake)
+        else:
+            order = [i for i, u in enumerate(units) if i in wake or u.since is not None]
+        for i in order:
+            u = units[i]
+            if i not in wake:  # traced run: a unit still in its stall run
+                self._emit_trace(c, "stall", u, -1, 0)
                 continue
-            if not any(unit.buffers):
+            nd = u.node
+            if u.is_const:
+                if u.next_tid < n and not u.out_queue:
+                    tid = u.next_tid
+                    u.next_tid += 1
+                    u.fires += 1
+                    progress = True
+                    woken.add(i)
+                    if trace is not None:
+                        self._emit_trace(c, "fire", u, tid, nd.value)
+                    completions.setdefault(c + u.latency, []).append((u, tid, nd.value))
                 continue
-            common = not unit.out_queue and set(unit.buffers[0]).intersection(*unit.buffers[1:])
-            if not common or (nd.kind == "load" and mem_cap is not None
-                              and self.mem_outstanding >= mem_cap):
-                unit.stalls += 1
-                self._emit_trace("stall", nid, -1, 0)
+            bufs = u.buffers
+            if not any(bufs):
                 continue
+            if u.out_queue or (u.is_load and mem_cap is not None
+                               and self.mem_outstanding >= mem_cap):
+                common = None
+            elif u.arity == 1:
+                common = bufs[0]
+            else:
+                common = set(bufs[0]).intersection(*bufs[1:])
+            if not common:
+                if u.since is None:
+                    u.since = c
+                if trace is not None:
+                    self._emit_trace(c, "stall", u, -1, 0)
+                continue
+            if u.since is not None:
+                u.stalls += c - u.since
+                u.since = None
             tid = min(common)
-            ins = [unit.buffers[s].pop(tid) for s in range(unit.arity)]
-            b = ins[1] if unit.arity == 2 else None
-            value = eval_op(nd.kind, ins[0], b, self.memory)
-            if nd.kind == "load":
+            ins = [b.pop(tid) for b in bufs]
+            value = eval_op(nd.kind, ins[0], ins[1] if u.arity == 2 else None, self.memory)
+            if u.is_load:
                 self.mem_outstanding += 1
-            unit.fires += 1
+            u.fires += 1
             progress = True
-            if nid == self.primary:
+            woken.add(i)
+            if u is self._primary:
                 self.primary_issues.append(c)
-            self._emit_trace("fire", nid, tid, value)
-            self.completions.setdefault(c + unit.latency, []).append((nid, tid, value))
+            if trace is not None:
+                self._emit_trace(c, "fire", u, tid, value)
+            completions.setdefault(c + u.latency, []).append((u, tid, value))
+            # the freed slots let held feeders emit and live-ins refill
+            for f in u.feeders:
+                if units[f].out_queue:
+                    emit.add(f)
+            inject += u.injectors
 
         # 5. live-in injection, in thread order, while there is room
-        for inj in self.injectors:
-            nid, slot, lv, next_tid, limit = inj
-            unit = self.units[nid]
-            while next_tid < limit and self._room(unit, slot):
-                self._put(nid, slot, next_tid, lv.value_for(next_tid))
-                next_tid += 1
-                progress = True
-            inj[3] = next_tid
+        if inject:
+            for inj in inject:
+                i, slot, lv, tid, limit = inj
+                u = units[i]
+                buf = u.buffers[slot]
+                while tid < limit and len(buf) + u.reserved[slot] < depth:
+                    self._put(u, slot, tid, lv.value_for(tid))
+                    tid += 1
+                if tid != inj[3]:
+                    progress = True
+                    woken.add(i)
+                    inj[3] = tid
+                    if tid == limit:
+                        u.injectors.remove(inj)
+            inject.clear()
 
-        if not (progress or self.arrivals or self.completions or self.done()):
+        if not (progress or arrivals or completions or self.done()):
             pending = {n: len(v) for n, v in self.liveout_vals.items()}
             raise DeadlockError(c, f"live-out progress stuck at {pending}")
 
@@ -323,12 +453,15 @@ class SimState:
         if len(issues) >= 3:
             mid = len(issues) // 2
             ii = (issues[-1] - issues[mid]) / (len(issues) - 1 - mid)
+        # a unit still stalling has stalled in every cycle from ``since`` on
+        stalls = {u.node.id: u.stalls + (self.cycle + 1 - u.since if u.since is not None else 0)
+                  for u in self.units}
         return SimReport(
             mode=self.params.mode,
             n_threads=n,
             total_cycles=self.cycle,
-            fires={nid: u.fires for nid, u in self.units.items()},
-            stalls={nid: u.stalls for nid, u in self.units.items()},
+            fires={u.node.id: u.fires for u in self.units},
+            stalls=stalls,
             dropped_retags=self.dropped_retags,
             selector_drops=0,
             live_out=live,

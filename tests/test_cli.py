@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+from loopgrid.grid import default_grid
+
 CLI = [sys.executable, "-m", "loopgrid.cli"]
 
 
@@ -132,3 +134,27 @@ def test_livein_on_fed_slot_exits_nonzero(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: duplicate-slot")
+
+
+@pytest.mark.parametrize("spec", [{"hop_latency": -1}, {"latencies": {"alu": 0}},
+                                  {"token_buffer_depth": 0}],
+                         ids=["hop", "alu", "depth"])
+def test_unschedulable_grid_spec_exits_nonzero(fixtures, tmp_path, spec):
+    # these specs used to make `sim` loop forever, so a hang fails on the timeout
+    grid = tmp_path / "g.json"
+    grid.write_text(json.dumps({**default_grid().to_json(), **spec}))
+    proc = subprocess.run(CLI + ["sim", str(fixtures / "accumulator.dfg"), "--grid", str(grid),
+                                 "--mode", "dr", "--threads", "4"],
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+
+
+@pytest.mark.parametrize("feed", ["edge 0 1 4", "livein z 1 7 3"], ids=["edge", "livein"])
+def test_missing_slot_exits_nonzero(tmp_path, feed):
+    path = tmp_path / "g.dfg"
+    path.write_text(f"node 0 const 1\nnode 1 add\nedge 0 1 0\n{feed}\nliveout 1\n")
+    proc = subprocess.run(CLI + ["sim", "--mode", "dr", "--threads", "4", str(path)],
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: arity-mismatch")

@@ -21,7 +21,8 @@ from loopgrid.grid import (
     place,
     route,
 )
-from loopgrid.ir import DfgError, load_dfg, parse_dfg
+from loopgrid.ir import DfgError, load_dfg, parse_dfg, reference_execute
+from loopgrid.sim import MachineParams, simulate
 
 from _random_graphs import random_dfg
 
@@ -44,6 +45,32 @@ def test_grid_spec_json_round_trip(tmp_path):
     assert again.unit_map == spec.unit_map
     assert again.latencies == spec.latencies
     assert (again.hop_latency, again.token_buffer_depth) == (1, 16)
+
+
+@pytest.mark.parametrize("bad", [
+    {"hop_latency": -1},
+    {"latencies": {"alu": 0}},
+    {"latencies": {"load": -3}},
+    {"token_buffer_depth": 0},
+], ids=["hop", "alu", "load", "depth"])
+def test_grid_spec_rejects_latencies_the_simulator_cannot_schedule(bad):
+    # an event scheduled at or before its own cycle would never be delivered
+    with pytest.raises(ValueError):
+        GridSpec.from_json({**default_grid().to_json(), **bad})
+    with pytest.raises(ValueError):
+        GridSpec(**bad)
+
+
+def test_zero_hop_latency_still_simulates(fixtures):
+    # zero-latency routes deliver during emission and stay legal
+    spec = GridSpec.from_json({**default_grid().to_json(), "hop_latency": 0})
+    for name in ("scenario2.dfg", "scenario5.dfg"):
+        g = load_dfg(str(fixtures / name))
+        cfg = map_graph(g, spec)
+        assert all(r.latency == 0 for r in cfg.routes.values())
+        for mode in ("dr", "baseline"):
+            rep = simulate(cfg, g, MachineParams(mode=mode, n_threads=12))
+            assert rep.live_out == reference_execute(g, 12), (name, mode)
 
 
 def test_kind_class():

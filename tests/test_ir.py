@@ -92,6 +92,11 @@ def test_all_fixtures_validate_clean(fixtures):
             "livein z 1 7 3\nliveout 1",
             "arity-mismatch",  # livein on a slot the add does not have
         ),
+        (
+            "node 0 const 1\nnode 1 const 5\nnode 2 sub\nedge 0 2 0\nedge 1 2 1\n"
+            "edge 0 2 -1\nliveout 2",
+            "arity-mismatch",  # a negative slot is no slot either
+        ),
     ],
 )
 def test_validate_negatives(text, code):

@@ -3,8 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from loopgrid.grid import map_graph
-from loopgrid.ir import load_dfg, parse_dfg, reference_execute
+from loopgrid.grid import MapError, map_graph
+from loopgrid.ir import DfgError, load_dfg, parse_dfg, reference_execute
 from loopgrid.sim import (
     DeadlockError,
     IIOracleError,
@@ -152,6 +152,27 @@ def test_random_graphs_match_reference(seed, mode):
     assert rep.live_out == reference_execute(g, 6)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000),
+       st.sampled_from(["dr", "baseline"]),
+       st.integers(min_value=1, max_value=40),
+       st.sampled_from([None, 1, 2, 3]),
+       st.integers(min_value=1, max_value=30),
+       st.integers(min_value=0, max_value=12))
+def test_simulate_matches_reference_or_refuses(seed, mode, n, cap, mem_latency, spill):
+    # never a silent disagreement: the simulator either reproduces the
+    # sequential reference or refuses the graph with a typed error
+    g = random_dfg(seed)
+    ref = reference_execute(g, n)
+    params = MachineParams(mode=mode, n_threads=n, mem_max_outstanding=cap,
+                           mem_latency=mem_latency, spill_latency=spill)
+    try:
+        rep = simulate(map_graph(g), g, params)
+    except (DfgError, MapError, DeadlockError):
+        return
+    assert rep.live_out == ref
+
+
 # ---------------------------------------------------------------- failure modes
 
 def test_unseeded_back_edge_deadlocks():
@@ -163,6 +184,17 @@ def test_unseeded_back_edge_deadlocks():
             simulate(cfg, g, MachineParams(mode=mode, n_threads=4))
         # caught at the first cycle with no progress and nothing in flight
         assert exc.value.cycle == 7, mode
+
+
+@pytest.mark.parametrize("feed", ["edge 0 1 2", "back 1 1 5 1", "livein z 1 7 3", "edge 0 1 -1"],
+                         ids=["edge", "back", "livein", "negative"])
+def test_missing_slot_refused_with_typed_error(feed):
+    # parse_dfg takes any slot number; only validate would report it
+    g = parse_dfg(f"node 0 const 1\nnode 1 add\nedge 0 1 0\n{feed}\nliveout 1")
+    cfg = map_graph(g)
+    with pytest.raises(DfgError) as exc:
+        simulate(cfg, g, MachineParams(mode="dr", n_threads=4))
+    assert exc.value.code == "arity-mismatch"
 
 
 def test_empty_graph_matches_reference():
