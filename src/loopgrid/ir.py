@@ -11,6 +11,7 @@ oracle for the cycle-level simulator.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -446,11 +447,14 @@ def eval_op(kind: str, a, b, memory: dict):
         return wrap64(r) if isinstance(r, int) else r
     if kind == "cmp":
         return 1 if a < b else 0
-    if kind == "and":
-        return wrap64(int(a) & int(b))
-    if kind == "or":
-        return wrap64(int(a) | int(b))
-    if kind == "shift":
+    if kind in ("and", "or", "shift"):
+        for x in (a, b):
+            if isinstance(x, float) and not math.isfinite(x):
+                raise ExecError("non-finite", f"'{kind}' needs an integer, got {x}")
+        if kind == "and":
+            return wrap64(int(a) & int(b))
+        if kind == "or":
+            return wrap64(int(a) | int(b))
         return wrap64(int(a) << (int(b) & 63))
     if kind == "fadd":
         return float(a) + float(b)

@@ -36,12 +36,15 @@ emitter is retried only after one of its destinations fires (nothing else
 frees room), and a live-in injector only after its unit fires.  When nothing
 is left to visit, the kernel jumps to the next pending arrival or
 completion.  A stalling unit records the cycle its stall run began and is
-credited the run's length when it next fires or when the report is built;
-with a text trace attached, the stall line of every stalling unit is still
-written for every cycle, skipped ones included.  A cycle with no progress
-and nothing in flight before every live-out exists raises DeadlockError at
-once: no state changed, so every later cycle would repeat it.  A single
-simulation is strictly single-threaded; distinct simulations share no state.
+credited the run's length when it next fires or when the report is built.
+A traced run visits every unit on every cycle and never jumps: an unwoken
+unit repeats its last outcome, so the visit changes no state and only writes
+the stall line of a unit still stalling.  That is the schedule of the plain
+cycle-by-cycle stepper in ``tests/_stepper_oracle.py``.  A cycle with no
+progress and nothing in flight before every live-out exists raises
+DeadlockError at once: no state changed, so every later cycle would repeat
+it.  A single simulation is strictly single-threaded; distinct simulations
+share no state.
 """
 
 from __future__ import annotations
@@ -161,7 +164,8 @@ class _Unit:
 
 class SimState:
     """One in-flight simulation; ``step`` runs the next cycle in which
-    anything can happen, crediting the stalls of the quiet cycles it skips."""
+    anything can happen (every cycle when traced), crediting the stalls of
+    the quiet cycles it skips."""
 
     def __init__(self, config: GridConfig, dfg: DataflowGraph, params: MachineParams,
                  trace=None):
@@ -179,6 +183,13 @@ class SimState:
             if nd is not None and not 0 <= slot < nd.n_inputs:
                 raise DfgError("arity-mismatch",
                                f"{what}: node {nid} ({nd.kind}) has no slot {slot}")
+        # a unit with an unfed slot never fires; the reference refuses the graph
+        fed = {(nid, slot) for nid, slot, _ in feeds}
+        for nd in dfg.nodes:
+            for slot in range(nd.n_inputs):
+                if (nd.id, slot) not in fed:
+                    raise DfgError("unfed-slot", f"slot {slot} of node {nd.id} ({nd.kind}) "
+                                   "has no input")
 
         self.units = [_Unit(i, nd, config.placement[nd.id], unit_latency(nd, config.spec, params))
                       for i, nd in enumerate(dfg.nodes)]
@@ -264,21 +275,20 @@ class SimState:
     def step(self):
         """Run the next cycle in which anything can change: the next one if a
         unit is woken, an emitter is ready or an injector has room, else the
-        next pending arrival or completion."""
+        next pending arrival or completion.  A traced run wakes every unit, so
+        it runs every cycle."""
         trace = self.trace
         units = self.units
         wake, emit, inject = self._wake, self._emit, self._inject
         arrivals, completions = self.arrivals, self.completions
         c = self.cycle + 1
+        if trace is not None:
+            # an unwoken unit repeats its last outcome: a visit only writes its stall line
+            wake.update(range(len(units)))
         if not (wake or emit or inject):
             # nothing can fire, emit or inject before the next arrival or
             # completion; with none pending, cycle c has no progress and raises
             c = min(arrivals.keys() | completions.keys(), default=c)
-            if trace is not None:
-                stalling = [u for u in units if u.since is not None]
-                for skipped in range(self.cycle + 1, c):
-                    for u in stalling:
-                        self._emit_trace(skipped, "stall", u, -1, 0)
         self.cycle = c
         progress = False
         n = self.params.n_threads
@@ -362,56 +372,45 @@ class SimState:
         #    outstanding cap.  Its stall run is credited when it next fires or
         #    in report().
         self._wake = woken = set()
-        if trace is None:
-            order = sorted(wake)
-        else:
-            order = [i for i, u in enumerate(units) if i in wake or u.since is not None]
-        for i in order:
+        for i in sorted(wake):
             u = units[i]
-            if i not in wake:  # traced run: a unit still in its stall run
-                self._emit_trace(c, "stall", u, -1, 0)
-                continue
             nd = u.node
             if u.is_const:
-                if u.next_tid < n and not u.out_queue:
-                    tid = u.next_tid
-                    u.next_tid += 1
-                    u.fires += 1
-                    progress = True
-                    woken.add(i)
-                    if trace is not None:
-                        self._emit_trace(c, "fire", u, tid, nd.value)
-                    completions.setdefault(c + u.latency, []).append((u, tid, nd.value))
-                continue
-            bufs = u.buffers
-            if not any(bufs):
-                continue
-            if u.out_queue or (u.is_load and mem_cap is not None
-                               and self.mem_outstanding >= mem_cap):
-                common = None
-            elif u.arity == 1:
-                common = bufs[0]
+                if u.next_tid >= n or u.out_queue:
+                    continue
+                tid = u.next_tid
+                u.next_tid += 1
+                value = nd.value
             else:
-                common = set(bufs[0]).intersection(*bufs[1:])
-            if not common:
-                if u.since is None:
-                    u.since = c
-                if trace is not None:
-                    self._emit_trace(c, "stall", u, -1, 0)
-                continue
-            if u.since is not None:
-                u.stalls += c - u.since
-                u.since = None
-            tid = min(common)
-            ins = [b.pop(tid) for b in bufs]
-            value = eval_op(nd.kind, ins[0], ins[1] if u.arity == 2 else None, self.memory)
-            if u.is_load:
-                self.mem_outstanding += 1
+                bufs = u.buffers
+                if not any(bufs):
+                    continue
+                if u.out_queue or (u.is_load and mem_cap is not None
+                                   and self.mem_outstanding >= mem_cap):
+                    common = None
+                elif u.arity == 1:
+                    common = bufs[0]
+                else:
+                    common = set(bufs[0]).intersection(*bufs[1:])
+                if not common:
+                    if u.since is None:
+                        u.since = c
+                    if trace is not None:
+                        self._emit_trace(c, "stall", u, -1, 0)
+                    continue
+                if u.since is not None:
+                    u.stalls += c - u.since
+                    u.since = None
+                tid = min(common)
+                ins = [b.pop(tid) for b in bufs]
+                value = eval_op(nd.kind, ins[0], ins[1] if u.arity == 2 else None, self.memory)
+                if u.is_load:
+                    self.mem_outstanding += 1
+                if u is self._primary:
+                    self.primary_issues.append(c)
             u.fires += 1
             progress = True
             woken.add(i)
-            if u is self._primary:
-                self.primary_issues.append(c)
             if trace is not None:
                 self._emit_trace(c, "fire", u, tid, value)
             completions.setdefault(c + u.latency, []).append((u, tid, value))

@@ -1,3 +1,4 @@
+import os
 import pathlib
 
 import pytest
@@ -5,6 +6,13 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
 DATA = pathlib.Path(__file__).resolve().parent / "data"
+
+
+def pytest_configure(config):
+    # pyproject's pythonpath setting puts ./src on this process's sys.path
+    # only; the CLI tests run `python -m loopgrid.cli` in child processes
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    os.environ["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
 
 
 @pytest.fixture

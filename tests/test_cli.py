@@ -7,6 +7,9 @@ import sys
 import pytest
 
 from loopgrid.grid import default_grid
+from loopgrid.ir import format_dfg
+
+from _random_graphs import random_dfg
 
 CLI = [sys.executable, "-m", "loopgrid.cli"]
 
@@ -158,3 +161,15 @@ def test_missing_slot_exits_nonzero(tmp_path, feed):
                           capture_output=True, text=True, timeout=30)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: arity-mismatch")
+
+
+def test_unfed_slot_exits_nonzero(tmp_path):
+    # the unfed node feeds no live-out, so an unchecked run would print a report
+    g = random_dfg(2)
+    del g.live_in["in2"]
+    path = tmp_path / "g.dfg"
+    path.write_text(format_dfg(g))
+    proc = subprocess.run(CLI + ["sim", "--mode", "dr", "--threads", "4", str(path)],
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: unfed-slot")

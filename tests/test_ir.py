@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from loopgrid.ir import (
     DfgError,
+    ExecError,
     LiveIn,
     eval_op,
     format_dfg,
@@ -228,10 +229,22 @@ def test_eval_op_basics():
     assert eval_op("and", 6, 3, {}) == 2
     assert eval_op("or", 4, 1, {}) == 5
     assert eval_op("shift", 3, 2, {}) == 12
+    assert eval_op("and", 6.0, 3.5, {}) == 2  # finite floats truncate
     assert eval_op("control", 1, 9, {}) == 9
     assert eval_op("control", 0, 9, {}) == 0
     assert eval_op("splitjoin", 5, None, {}) == 5
     assert eval_op("fadd", 1.5, 0.25, {}) == 1.75
+
+
+@pytest.mark.parametrize("kind", ["and", "or", "shift"])
+@pytest.mark.parametrize("a, b", [(float("inf"), 1), (1, float("-inf")), (float("nan"), 2),
+                                  (3, float("nan"))], ids=["inf", "-inf", "nan-a", "nan-b"])
+def test_integer_ops_refuse_non_finite_operands(kind, a, b):
+    # inf and nan have no integer value; int() would raise a bare
+    # OverflowError or ValueError
+    with pytest.raises(ExecError) as exc:
+        eval_op(kind, a, b, {})
+    assert exc.value.code == "non-finite"
 
 
 def test_eval_op_memory():

@@ -1,10 +1,10 @@
 """Cycle-level simulator: retagging, steady-state rates, and exactness."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from loopgrid.grid import MapError, map_graph
-from loopgrid.ir import DfgError, load_dfg, parse_dfg, reference_execute
+from loopgrid.ir import DfgError, ExecError, load_dfg, parse_dfg, reference_execute
 from loopgrid.sim import (
     DeadlockError,
     IIOracleError,
@@ -152,18 +152,37 @@ def test_random_graphs_match_reference(seed, mode):
     assert rep.live_out == reference_execute(g, 6)
 
 
+def drop_livein(g, k):
+    """Delete the k-th live-in (mod their count) that no back edge shares a
+    slot with, leaving that slot unfed; returns its name, or None if none."""
+    seeded = {(e.dst, e.slot) for e in g.back_edges()}
+    plain = [name for name, lv in g.live_in.items() if (lv.node, lv.slot) not in seeded]
+    if not plain:
+        return None
+    name = plain[k % len(plain)]
+    del g.live_in[name]
+    return name
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(min_value=0, max_value=100_000),
        st.sampled_from(["dr", "baseline"]),
        st.integers(min_value=1, max_value=40),
        st.sampled_from([None, 1, 2, 3]),
        st.integers(min_value=1, max_value=30),
-       st.integers(min_value=0, max_value=12))
-def test_simulate_matches_reference_or_refuses(seed, mode, n, cap, mem_latency, spill):
+       st.integers(min_value=0, max_value=12),
+       st.one_of(st.none(), st.integers(min_value=0, max_value=7)))
+@example(2, "dr", 1, None, 20, 8, 2)  # drops in2: node 3 is off every live-out path
+def test_simulate_matches_reference_or_refuses(seed, mode, n, cap, mem_latency, spill, drop):
     # never a silent disagreement: the simulator either reproduces the
     # sequential reference or refuses the graph with a typed error
     g = random_dfg(seed)
-    ref = reference_execute(g, n)
+    if drop is not None:
+        drop_livein(g, drop)
+    try:
+        ref = reference_execute(g, n)
+    except ExecError as exc:
+        ref = exc.code  # no live-out list equals this
     params = MachineParams(mode=mode, n_threads=n, mem_max_outstanding=cap,
                            mem_latency=mem_latency, spill_latency=spill)
     try:
@@ -171,6 +190,35 @@ def test_simulate_matches_reference_or_refuses(seed, mode, n, cap, mem_latency, 
     except (DfgError, MapError, DeadlockError):
         return
     assert rep.live_out == ref
+
+
+def test_unfed_slot_refused_with_typed_error():
+    # node 3 (or) feeds no live-out, so without the check it never fires and
+    # the run returns [{5: 3, 7: 2}] where the reference refuses the graph
+    g = random_dfg(2)
+    assert drop_livein(g, 2) == "in2"
+    with pytest.raises(ExecError) as ref:
+        reference_execute(g, 1)
+    assert ref.value.code == "unfed-slot"
+    cfg = map_graph(g)
+    for mode in ("dr", "baseline"):
+        with pytest.raises(DfgError) as exc:
+            simulate(cfg, g, MachineParams(mode=mode, n_threads=1))
+        assert exc.value.code == "unfed-slot", mode
+
+
+@pytest.mark.parametrize("seed", [298, 331])
+def test_non_finite_integer_operand_is_typed(seed):
+    # an fmul chain overflows to -inf by thread 512, then feeds an 'or'
+    g = random_dfg(seed)
+    with pytest.raises(ExecError) as ref:
+        reference_execute(g, 512)
+    assert ref.value.code == "non-finite"
+    cfg = map_graph(g)
+    for mode in ("dr", "baseline"):
+        with pytest.raises(ExecError) as exc:
+            simulate(cfg, g, MachineParams(mode=mode, n_threads=512))
+        assert exc.value.code == "non-finite", mode
 
 
 # ---------------------------------------------------------------- failure modes
