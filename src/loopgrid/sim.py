@@ -43,8 +43,30 @@ the stall line of a unit still stalling.  That is the schedule of the plain
 cycle-by-cycle stepper in ``tests/_stepper_oracle.py``.  A cycle with no
 progress and nothing in flight before every live-out exists raises
 DeadlockError at once: no state changed, so every later cycle would repeat
-it.  A single simulation is strictly single-threaded; distinct simulations
-share no state.
+it.
+
+Every loop iteration is its own thread, so a run in steady state repeats
+its state exactly up to a shift of thread ids.  An untraced run of at
+least ``FAST_FORWARD_MIN_THREADS`` threads watches for that repeat with
+Brent's cycle detection for at most ``FAST_FORWARD_MAX_STEPS`` steps.  The
+signature holds buffered, held and in-flight thread ids relative to the
+smallest one, event times relative to the cycle, const and live-in
+counters, which units are mid-stall, the load count and the units to
+visit next; it holds no token value.  Units joined by an edge (or by the
+load cap) form a component, and each component may shift by its own k.
+A repeat after P cycles lets the kernel skip m whole periods, m as large
+as keeps every const issue, live-in and retag below its thread limit (so
+no retag is dropped in a skipped period): fires, stalls, the cycle, the
+live-out count and the primary unit's issue cycles grow by m times the
+period's change.  This is exact because timing never reads a value.  The
+values come from replaying the period's fires, shifted, in fire order
+through ``eval_op`` and the same memory, so stores, loads and the first
+ExecError are those of a full run.  Detection then starts over, since a
+component that stopped (a const done issuing) can leave the rest to repeat
+for longer; the normal kernel finishes the tail, deadlocks included.  A
+traced run never skips, so its trace lists every cycle.  A single
+simulation is strictly single-threaded; distinct simulations share no
+state.
 """
 
 from __future__ import annotations
@@ -56,6 +78,10 @@ from typing import NamedTuple
 from .analysis import LoopPattern, classify, find_deps
 from .grid import GridConfig, GridSpec
 from .ir import DataflowGraph, DfgError, Node, eval_op
+
+
+FAST_FORWARD_MIN_THREADS = 64  # untraced runs this long look for a periodic state
+FAST_FORWARD_MAX_STEPS = 4096  # steps watched for a repeat before giving up
 
 
 class Token(NamedTuple):
@@ -134,8 +160,8 @@ class SimInvariantError(AssertionError):
 class _Unit:
     __slots__ = ("index", "node", "cell", "latency", "arity", "is_const", "is_load",
                  "emits", "buffers", "reserved", "out_queue", "links", "feeders",
-                 "carriers", "injectors", "liveout", "next_tid", "fires", "stalls",
-                 "since")
+                 "carriers", "injectors", "sources", "liveout", "next_tid", "fires",
+                 "stalls", "since")
 
     def __init__(self, index, node, cell, latency):
         self.index = index  # position in node order, which is firing order
@@ -155,6 +181,8 @@ class _Unit:
         self.feeders = []  # units with a route into this one
         self.carriers = []  # (consumer, slot, diff, delay >= 1)
         self.injectors = []  # live-in injectors on this unit still short of their limit
+        # per slot: (producer index or None, diff (0 on an intra edge), livein or None)
+        self.sources = [(None, 0, None)] * self.arity
         self.liveout = None  # thread id -> value, on a live-out unit
         self.next_tid = 0  # const issue counter
         self.fires = 0
@@ -183,13 +211,6 @@ class SimState:
             if nd is not None and not 0 <= slot < nd.n_inputs:
                 raise DfgError("arity-mismatch",
                                f"{what}: node {nid} ({nd.kind}) has no slot {slot}")
-        # a unit with an unfed slot never fires; the reference refuses the graph
-        fed = {(nid, slot) for nid, slot, _ in feeds}
-        for nd in dfg.nodes:
-            for slot in range(nd.n_inputs):
-                if (nd.id, slot) not in fed:
-                    raise DfgError("unfed-slot", f"slot {slot} of node {nd.id} ({nd.kind}) "
-                                   "has no input")
 
         self.units = [_Unit(i, nd, config.placement[nd.id], unit_latency(nd, config.spec, params))
                       for i, nd in enumerate(dfg.nodes)]
@@ -212,6 +233,38 @@ class SimState:
             src.links.append((dst.index, e.slot, config.routes[e.key()].latency))
             if src.index not in dst.feeders:
                 dst.feeders.append(src.index)
+
+        # a slot takes one edge, plus a seeding livein on a back edge's slot
+        for e in dfg.edges:
+            u = by_id[e.dst]
+            if u.sources[e.slot][0] is not None:
+                raise DfgError("duplicate-slot", f"slot {e.slot} of node {e.dst} bound twice")
+            u.sources[e.slot] = (by_id[e.src].index, e.diff if e.kind == "back" else 0, None)
+        for lv in dfg.live_in.values():
+            u = by_id[lv.node]
+            p, d, seed = u.sources[lv.slot]
+            if seed is not None or (p is not None and not d):
+                raise DfgError("duplicate-slot", f"slot {lv.slot} of node {lv.node} bound twice")
+            u.sources[lv.slot] = (p, d, lv)
+        # an unseeded back edge starves its consumer's first threads: on a path
+        # to a live-out the run deadlocks, off every such path it is refused
+        # here, where the reference raises ExecError("missing-livein")
+        live = {by_id[nid].index for nid in dfg.live_out if nid in by_id}
+        stack = list(live)
+        while stack:
+            for f in self.units[stack.pop()].feeders:
+                if f not in live:
+                    live.add(f)
+                    stack.append(f)
+        for u in self.units:
+            for slot, (p, d, lv) in enumerate(u.sources):
+                # a unit with an unfed slot never fires; the reference refuses the graph
+                if p is None and lv is None:
+                    raise DfgError("unfed-slot", f"slot {slot} of node {u.node.id} "
+                                   f"({u.node.kind}) has no input")
+                if d and lv is None and u.index not in live:
+                    raise DfgError("missing-livein", f"back edge into slot {slot} of node "
+                                   f"{u.node.id} has no livein and feeds no live-out")
 
         # live-in injectors: [unit index, slot, livein, next tid, tid limit]; on a
         # dependent slot only threads below diff take a live-in value
@@ -250,6 +303,31 @@ class SimState:
         self._primary = by_id.get(primary)
         self.primary_issues: list[int] = []  # cycles at which the primary unit fired
 
+        # periodic fast-forward: the (unit index, thread id) fires since the
+        # last checkpoint while looking for a repeat, else None
+        self._log = None
+        if trace is None and params.n_threads >= FAST_FORWARD_MIN_THREADS:
+            self._log = []
+            self._saved = None  # the checkpoint (see _watch)
+            self._power, self._lam, self._budget = 1, 0, FAST_FORWARD_MAX_STEPS
+            # units joined by an edge (or by the load cap) form a component;
+            # each component repeats with its own thread shift.  Unit index ->
+            # index of its component's root unit.
+            root = list(range(len(self.units)))
+
+            def find(i):
+                while root[i] != i:
+                    i = root[i]
+                return i
+
+            pairs = [(by_id[e.src].index, by_id[e.dst].index) for e in dfg.edges]
+            if params.mem_max_outstanding is not None:
+                loads = sorted(self._loads)
+                pairs += zip(loads, loads[1:])
+            for a, b in pairs:
+                root[find(a)] = find(b)
+            self._comp = [find(i) for i in range(len(self.units))]
+
     # -- helpers -----------------------------------------------------------
 
     def _emit_trace(self, cycle, event, unit, tid, value):
@@ -279,6 +357,7 @@ class SimState:
         it runs every cycle."""
         trace = self.trace
         units = self.units
+        log = self._log
         wake, emit, inject = self._wake, self._emit, self._inject
         arrivals, completions = self.arrivals, self.completions
         c = self.cycle + 1
@@ -319,8 +398,7 @@ class SimState:
                 if trace is not None:
                     self._emit_trace(c, "complete", u, tid, value)
                 if u.liveout is not None:
-                    if tid not in u.liveout:
-                        self._missing -= 1
+                    self._missing -= 1  # a unit completes each thread once
                     u.liveout[tid] = value
                 if u.emits:
                     u.out_queue.append((tid, value))
@@ -411,6 +489,8 @@ class SimState:
             u.fires += 1
             progress = True
             woken.add(i)
+            if log is not None:
+                log.append((i, tid))
             if trace is not None:
                 self._emit_trace(c, "fire", u, tid, value)
             completions.setdefault(c + u.latency, []).append((u, tid, value))
@@ -440,6 +520,200 @@ class SimState:
         if not (progress or arrivals or completions or self.done()):
             pending = {n: len(v) for n, v in self.liveout_vals.items()}
             raise DeadlockError(c, f"live-out progress stuck at {pending}")
+        if log is not None and self._missing:
+            self._watch()
+
+    # -- periodic fast-forward ---------------------------------------------
+
+    def _stall_total(self, u: _Unit) -> int:
+        """Stall cycles of ``u`` up to and including the current cycle: a unit
+        still stalling has stalled in every cycle from ``since`` on."""
+        return u.stalls + (self.cycle + 1 - u.since if u.since is not None else 0)
+
+    def _signature(self):
+        """The state as far as timing reads it, less what ``_watch`` keys on:
+        each component's thread ids relative to the smallest it holds, event
+        times relative to the cycle, no values.  Returns the smallest and the
+        largest id per component (0 and -1 when it holds none) and the
+        signature."""
+        n = self.params.n_threads
+        c = self.cycle
+        units = self.units
+        comp = self._comp
+        arrivals = sorted(self.arrivals.items())
+        completions = sorted(self.completions.items())  # cycles are unique keys
+        ids = {r: [] for r in comp}
+        for u in units:
+            held = ids[comp[u.index]]
+            for buf in u.buffers:
+                held += buf
+            held += [t for t, _ in u.out_queue]
+            held += [inj[3] for inj in u.injectors]
+            if u.is_const and u.next_tid < n:
+                held.append(u.next_tid)
+        for _, es in arrivals:
+            for i, _, t, _, _ in es:
+                ids[comp[i]].append(t)
+        for _, es in completions:
+            for u, t, _ in es:
+                ids[comp[u.index]].append(t)
+        lo = {r: min(held, default=0) for r, held in ids.items()}
+        hi = {r: max(held, default=-1) for r, held in ids.items()}
+        state = []
+        for u in units:
+            b = lo[comp[u.index]]
+            state.append(([sorted(t - b for t in buf) for buf in u.buffers], tuple(u.reserved),
+                          [t - b for t, _ in u.out_queue],
+                          [(inj[1], inj[3] - b) for inj in u.injectors],
+                          u.next_tid - b if u.is_const and u.next_tid < n else None,
+                          u.since is None))
+        state.append([(a - c, [(i, s, t - lo[comp[i]], r) for i, s, t, _, r in es])
+                      for a, es in arrivals])
+        state.append([(a - c, [(u.index, t - lo[comp[u.index]]) for u, t, _ in es])
+                      for a, es in completions])
+        return lo, hi, state
+
+    def _watch(self):
+        """Brent's cycle detection: compare each state with a checkpoint that
+        is retaken whenever the steps since it reach the next power of two.
+        A cheap key (load count, event offsets, woken and emitting units)
+        must match before the full signature is built."""
+        self._budget -= 1
+        if self._budget < 0:
+            self._log = None
+            return
+        c = self.cycle
+        key = (self.mem_outstanding, sorted(a - c for a in self.arrivals),
+               sorted(a - c for a in self.completions), sorted(self._wake), sorted(self._emit))
+        self._lam += 1
+        saved = self._saved
+        found = None
+        if saved is not None and key == saved[0]:
+            found = self._signature()
+            if found[2] == saved[1] and self._skip(saved, *found[:2]):
+                # look again: a component that stopped (a const done issuing)
+                # leaves the others to repeat with a longer reach
+                self._saved, self._power, self._lam, self._log = None, 1, 0, []
+                return
+        if self._lam == self._power:
+            lo, _, sig = found or self._signature()
+            self._saved = (key, sig, lo, c, [u.fires for u in self.units],
+                           [self._stall_total(u) for u in self.units], self._missing,
+                           len(self.primary_issues))
+            self._power *= 2
+            self._lam = 0
+            self._log = []
+
+    def _skip(self, saved, lo, hi) -> bool:
+        """Jump m whole periods past the repeat of checkpoint ``saved``, with
+        m as large as keeps every thread-id test (const issue, retag drop,
+        live-in limit) reading as it did in the recorded period.  So no
+        retag is dropped in a skipped period: a drop in the recorded one
+        leaves no m."""
+        _, _, lo0, cycle0, fires0, stalls0, missing0, issues0 = saved
+        n = self.params.n_threads
+        units = self.units
+        comp = self._comp
+        fires = self._log
+        period = self.cycle - cycle0
+        shift = {r: lo[r] - lo0[r] for r in lo}  # thread shift per component
+        if min(shift.values()) < 0 or max(shift.values()) < 1:
+            return False
+        top = dict(hi)  # largest id each component holds or fired in the period
+        for i, t in fires:
+            top[comp[i]] = max(top[comp[i]], t)
+        m = n
+        for u in units:
+            k = shift[comp[u.index]]
+            if k:
+                diff = max((d for _, _, d, _ in u.carriers), default=0)
+                m = min(m, (n - 1 - top[comp[u.index]] - diff) // k)
+                for inj in u.injectors:
+                    m = min(m, (inj[4] - 1 - inj[3]) // k)
+        produced = missing0 - self._missing  # live-out values per period
+        if produced:
+            m = min(m, (self._missing - 1) // produced)
+        if m < 1:
+            return False
+
+        # values: replay the period's fires m times, shifted, in fire order
+        results = [{} for _ in units]  # unit index -> thread id -> result
+
+        def operand(i, slot, t):
+            p, d, lv = units[i].sources[slot]
+            return results[p][t - d] if p is not None and t >= d else lv.value_for(t)
+
+        def note(i, slot, t, value):
+            p, d, _ = units[i].sources[slot]
+            if p is not None and t >= d:
+                results[p][t - d] = value
+
+        for u in units:
+            for slot, buf in enumerate(u.buffers):
+                for t, value in buf.items():
+                    note(u.index, slot, t, value)
+            for t, value in u.out_queue:
+                results[u.index][t] = value
+        for es in self.arrivals.values():
+            for i, slot, t, value, _ in es:
+                note(i, slot, t, value)
+        for es in self.completions.values():
+            for u, t, value in es:
+                results[u.index][t] = value
+                if u.liveout is not None:
+                    u.liveout[t] = value
+        # per fire: thread id and shift, result table, kind, const value, each
+        # operand's (producer results or None, diff, livein or None), live-out
+        plan = []
+        for i, t in fires:
+            u = units[i]
+            (pa, da, la), (pb, db, lb) = u.sources + [(None, 0, None)] * (2 - u.arity)
+            plan.append((t, shift[comp[i]], results[i], u.node.kind, u.node.value, u.arity,
+                         None if pa is None else results[pa], da, la,
+                         None if pb is None else results[pb], db, lb, u.liveout))
+        memory = self.memory
+        for j in range(1, m + 1):
+            for t, k, res, kind, value, arity, ra, da, la, rb, db, lb, out in plan:
+                t += j * k
+                if arity:
+                    a = ra[t - da] if ra is not None and t >= da else la.value_for(t)
+                    b = None
+                    if arity == 2:
+                        b = rb[t - db] if rb is not None and t >= db else lb.value_for(t)
+                    value = eval_op(kind, a, b, memory)
+                res[t] = value
+                if out is not None:
+                    out[t] = value
+
+        # the state m periods on: ids shifted by m*k, times by m*period
+        D = m * period
+        for u in units:
+            i = u.index
+            K = m * shift[comp[i]]
+            u.fires += m * (u.fires - fires0[i])
+            u.stalls += m * (self._stall_total(u) - stalls0[i])
+            if u.since is not None:
+                u.since += D
+            u.buffers = [{t + K: operand(i, slot, t + K) for t in buf}
+                         for slot, buf in enumerate(u.buffers)]
+            u.out_queue = deque((t + K, results[i][t + K]) for t, _ in u.out_queue)
+            for inj in u.injectors:
+                inj[3] += K
+            if u.is_const and u.next_tid < n:
+                u.next_tid += K
+        self.arrivals = {a + D: [(i, slot, t + m * shift[comp[i]],
+                                  operand(i, slot, t + m * shift[comp[i]]), r)
+                                 for i, slot, t, _, r in es]
+                         for a, es in self.arrivals.items()}
+        self.completions = {a + D: [(u, t + m * shift[comp[u.index]],
+                                     results[u.index][t + m * shift[comp[u.index]]])
+                                    for u, t, _ in es]
+                            for a, es in self.completions.items()}
+        issues = self.primary_issues[issues0:]
+        self.primary_issues += [c + j * period for j in range(1, m + 1) for c in issues]
+        self.cycle += D
+        self._missing -= m * produced
+        return True
 
     def report(self) -> SimReport:
         n = self.params.n_threads
@@ -452,9 +726,7 @@ class SimState:
         if len(issues) >= 3:
             mid = len(issues) // 2
             ii = (issues[-1] - issues[mid]) / (len(issues) - 1 - mid)
-        # a unit still stalling has stalled in every cycle from ``since`` on
-        stalls = {u.node.id: u.stalls + (self.cycle + 1 - u.since if u.since is not None else 0)
-                  for u in self.units}
+        stalls = {u.node.id: self._stall_total(u) for u in self.units}
         return SimReport(
             mode=self.params.mode,
             n_threads=n,

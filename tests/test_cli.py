@@ -173,3 +173,14 @@ def test_unfed_slot_exits_nonzero(tmp_path):
                           capture_output=True, text=True, timeout=30)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: unfed-slot")
+
+
+def test_unseeded_back_edge_off_live_out_paths_exits_nonzero(tmp_path):
+    # node 1's back edge has no livein and node 1 feeds no live-out
+    path = tmp_path / "g.dfg"
+    path.write_text("node 0 const 1\nnode 1 add\nedge 0 1 0\nback 1 1 1 1\n"
+                    "node 2 add\nedge 0 2 0\nedge 0 2 1\nliveout 2\n")
+    proc = subprocess.run(CLI + ["sim", "--mode", "baseline", "--threads", "2", str(path)],
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: missing-livein")

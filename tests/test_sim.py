@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from loopgrid.grid import MapError, map_graph
-from loopgrid.ir import DfgError, ExecError, load_dfg, parse_dfg, reference_execute
+from loopgrid.ir import DfgError, ExecError, LiveIn, load_dfg, parse_dfg, reference_execute
 from loopgrid.sim import (
     DeadlockError,
     IIOracleError,
@@ -152,14 +152,15 @@ def test_random_graphs_match_reference(seed, mode):
     assert rep.live_out == reference_execute(g, 6)
 
 
-def drop_livein(g, k):
+def drop_livein(g, k, seed=False):
     """Delete the k-th live-in (mod their count) that no back edge shares a
-    slot with, leaving that slot unfed; returns its name, or None if none."""
+    slot with, leaving that slot unfed, or with ``seed`` the k-th that seeds
+    a back edge; returns its name, or None if none."""
     seeded = {(e.dst, e.slot) for e in g.back_edges()}
-    plain = [name for name, lv in g.live_in.items() if (lv.node, lv.slot) not in seeded]
-    if not plain:
+    names = [name for name, lv in g.live_in.items() if ((lv.node, lv.slot) in seeded) == seed]
+    if not names:
         return None
-    name = plain[k % len(plain)]
+    name = names[k % len(names)]
     del g.live_in[name]
     return name
 
@@ -171,14 +172,16 @@ def drop_livein(g, k):
        st.sampled_from([None, 1, 2, 3]),
        st.integers(min_value=1, max_value=30),
        st.integers(min_value=0, max_value=12),
-       st.one_of(st.none(), st.integers(min_value=0, max_value=7)))
-@example(2, "dr", 1, None, 20, 8, 2)  # drops in2: node 3 is off every live-out path
-def test_simulate_matches_reference_or_refuses(seed, mode, n, cap, mem_latency, spill, drop):
+       st.one_of(st.none(), st.integers(min_value=0, max_value=7)),
+       st.booleans())
+@example(2, "dr", 1, None, 20, 8, 2, False)  # drops in2: node 3 is off every live-out path
+def test_simulate_matches_reference_or_refuses(seed, mode, n, cap, mem_latency, spill, drop,
+                                               seed_livein):
     # never a silent disagreement: the simulator either reproduces the
     # sequential reference or refuses the graph with a typed error
     g = random_dfg(seed)
     if drop is not None:
-        drop_livein(g, drop)
+        drop_livein(g, drop, seed_livein)
     try:
         ref = reference_execute(g, n)
     except ExecError as exc:
@@ -221,6 +224,21 @@ def test_non_finite_integer_operand_is_typed(seed):
         assert exc.value.code == "non-finite", mode
 
 
+def test_unseeded_back_edge_off_live_out_paths_refused():
+    # node 1 starves for want of a livein but feeds no live-out: without the
+    # check the run returns [{2: 2}, {2: 2}] where the reference refuses
+    g = parse_dfg("node 0 const 1\nnode 1 add\nedge 0 1 0\nback 1 1 1 1\n"
+                  "node 2 add\nedge 0 2 0\nedge 0 2 1\nliveout 2")
+    with pytest.raises(ExecError) as ref:
+        reference_execute(g, 2)
+    assert ref.value.code == "missing-livein"
+    cfg = map_graph(g)
+    for mode in ("dr", "baseline"):
+        with pytest.raises(DfgError) as exc:
+            simulate(cfg, g, MachineParams(mode=mode, n_threads=2))
+        assert exc.value.code == "missing-livein", mode
+
+
 # ---------------------------------------------------------------- failure modes
 
 def test_unseeded_back_edge_deadlocks():
@@ -243,6 +261,18 @@ def test_missing_slot_refused_with_typed_error(feed):
     with pytest.raises(DfgError) as exc:
         simulate(cfg, g, MachineParams(mode="dr", n_threads=4))
     assert exc.value.code == "arity-mismatch"
+
+
+@pytest.mark.parametrize("extra", [LiveIn("z", 1, 1, (3,)), LiveIn("z", 1, 0, (3,))],
+                         ids=["edge+livein", "livein+livein"])
+def test_slot_fed_twice_refused_with_typed_error(extra):
+    # parse_dfg refuses both; a graph built in code reaches the simulator
+    g = parse_dfg("node 0 const 1\nnode 1 add\nedge 0 1 1\nlivein a 1 0 5\nliveout 1")
+    g.live_in["z"] = extra
+    cfg = map_graph(g)
+    with pytest.raises(DfgError) as exc:
+        simulate(cfg, g, MachineParams(mode="dr", n_threads=4))
+    assert exc.value.code == "duplicate-slot"
 
 
 def test_empty_graph_matches_reference():

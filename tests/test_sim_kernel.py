@@ -2,11 +2,14 @@
 
 ``_stepper_oracle`` walks every unit on every cycle, so any wake-up, skip
 or lazy stall credit the kernel gets wrong shows up here as a different
-report, a different text trace or a different deadlock cycle.
+report, a different text trace or a different deadlock cycle.  Untraced
+runs of ``sim.FAST_FORWARD_MIN_THREADS`` or more threads also jump over
+whole periods of a repeating state; the long runs here check that jump.
 """
 
 import gc
 import io
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,19 +18,22 @@ import _stepper_oracle as oracle
 from _random_graphs import random_dfg
 from loopgrid import sim
 from loopgrid.grid import default_grid, map_graph
-from loopgrid.ir import load_dfg, parse_dfg
+from loopgrid.ir import DfgError, ExecError, load_dfg, parse_dfg, reference_execute
 from loopgrid.sim import DeadlockError, MachineParams
 
 TRACED_UP_TO = 64  # thread counts above this compare reports only
 
 
 def outcome(simulate, cfg, g, params, traced):
-    """Report JSON (or the deadlock cycle and message) and the text trace."""
+    """Report JSON text (or the deadlock cycle and message, or the first
+    ExecError) and the text trace.  As text, a nan live-out equals itself."""
     buf = io.StringIO() if traced else None
     try:
-        got = simulate(cfg, g, params, trace=buf).to_json()
+        got = json.dumps(simulate(cfg, g, params, trace=buf).to_json(), sort_keys=True)
     except DeadlockError as exc:
         got = ("deadlock", exc.cycle, str(exc))
+    except ExecError as exc:
+        got = ("exec", exc.code, str(exc))
     return got, buf.getvalue() if traced else None
 
 
@@ -50,6 +56,12 @@ def test_fixtures_match_oracle(fixtures, mode):
     for name, g, cfg in fixture_graphs(fixtures):
         for n in (1, 7, 8, 64, 512):
             assert_same(cfg, g, MachineParams(mode=mode, n_threads=n), (name, n))
+
+
+@pytest.mark.parametrize("mode", ["baseline", "dr"])
+def test_fixtures_match_oracle_when_fast_forwarded(fixtures, mode):
+    for name, g, cfg in fixture_graphs(fixtures):
+        assert_same(cfg, g, MachineParams(mode=mode, n_threads=4096), name)
 
 
 @pytest.mark.parametrize("cap", [1, 2, 3])
@@ -82,15 +94,99 @@ def test_memory_cap_matches_oracle(fixtures, cap):
        st.booleans())
 def test_random_graphs_match_oracle(seed, mode, n, depth, hop, unseed):
     # shallow buffers and zero-hop routes stress back-pressure and same-cycle
-    # delivery; dropping back-edge seeds makes deadlocks
+    # delivery; dropping back-edge seeds makes deadlocks, or a refusal where
+    # no live-out depends on the starved consumer
     g = random_dfg(seed)
     if unseed:
         seeded = {(e.dst, e.slot) for e in g.edges if e.kind == "back"}
         g.live_in = {k: lv for k, lv in g.live_in.items() if (lv.node, lv.slot) not in seeded}
     spec = default_grid()
     spec.token_buffer_depth, spec.hop_latency = depth, hop
+    cfg = map_graph(g, spec)
     params = MachineParams(mode=mode, n_threads=n, spill_latency=seed % 9)
+    try:
+        sim.SimState(cfg, g, params)
+    except DfgError as exc:
+        assert unseed and exc.code == "missing-livein"
+        with pytest.raises(ExecError) as ref:
+            reference_execute(g, n)
+        assert ref.value.code == "missing-livein"
+        return
+    assert_same(cfg, g, params)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000),
+       st.sampled_from(["baseline", "dr"]),
+       st.integers(min_value=200, max_value=2000),
+       st.sampled_from([None, 1, 2, 3]),
+       st.sampled_from([16, 1, 2]),
+       st.sampled_from([1, 0, 2]))
+def test_long_random_runs_match_oracle(seed, mode, n, cap, depth, hop):
+    # long enough that most runs repeat and are fast-forwarded
+    g = random_dfg(seed)
+    spec = default_grid()
+    spec.token_buffer_depth, spec.hop_latency = depth, hop
+    params = MachineParams(mode=mode, n_threads=n, mem_max_outstanding=cap,
+                           mem_latency=2 + seed % 19, spill_latency=seed % 9)
     assert_same(map_graph(g, spec), g, params)
+
+
+NON_FINITE_LATE = """
+node 0 const 2.0
+node 1 fmul
+edge 0 1 0
+back 1 1 1 1
+livein x 1 1 1.0
+node 2 const 1
+node 3 and
+edge 1 3 0
+edge 2 3 1
+liveout 3
+"""
+
+
+@pytest.mark.parametrize("mode", ["baseline", "dr"])
+def test_fast_forward_raises_the_first_exec_error(mode):
+    # thread t carries 2.0 ** (t + 1): inf from thread 1023, where 'and' refuses
+    g = parse_dfg(NON_FINITE_LATE)
+    cfg = map_graph(g)
+    with pytest.raises(ExecError) as ref:
+        reference_execute(g, 2048)
+    params = MachineParams(mode=mode, n_threads=2048)
+    raised = []
+    for trace in (None, io.StringIO()):
+        with pytest.raises(ExecError) as exc:
+            sim.simulate(cfg, g, params, trace=trace)
+        raised.append((exc.value.code, str(exc.value)))
+    assert raised[0] == raised[1] == (ref.value.code, str(ref.value))
+    assert raised[0][0] == "non-finite" and "inf" in raised[0][1]
+
+
+def test_fast_forward_engages_untraced_only(fixtures, monkeypatch):
+    # an exactness test alone would pass a detector that never fires
+    g = load_dfg(str(fixtures / "accumulator.dfg"))
+    cfg = map_graph(g)
+    steps = 0
+    step = sim.SimState.step
+
+    def counted(self):
+        nonlocal steps
+        steps += 1
+        step(self)
+
+    monkeypatch.setattr(sim.SimState, "step", counted)
+    params = MachineParams(mode="baseline", n_threads=4096)
+    rep = sim.simulate(cfg, g, params)
+    assert rep.total_cycles == 53_239 and steps < 1_000
+    steps = 0
+
+    class Discard:
+        def write(self, text):
+            pass
+
+    traced = sim.simulate(cfg, g, params, trace=Discard())
+    assert traced.to_json() == rep.to_json() and steps == rep.total_cycles
 
 
 def test_deadlock_cycle_and_trace_match_oracle():

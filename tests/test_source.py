@@ -1,4 +1,5 @@
-"""Source hygiene: every name a module imports is used in it."""
+"""Source hygiene: every name a module imports is used in it, and no module
+reads the environment (the program has no hidden switches)."""
 
 import ast
 import pathlib
@@ -26,3 +27,15 @@ def unused_imports(source: str) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def environment_reads(source: str) -> list[str]:
+    tree = ast.parse(source)
+    return sorted(f"{node.attr} (line {node.lineno})" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")
+                  and isinstance(node.value, ast.Name) and node.value.id == "os")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_environment_reads(path):
+    assert environment_reads(path.read_text(encoding="utf-8")) == []
