@@ -672,6 +672,9 @@ class SimState:
                          None if pa is None else results[pa], da, la,
                          None if pb is None else results[pb], db, lb, u.liveout))
         memory = self.memory
+        # after period j every token still to be read has an id of at least
+        # lo + j*k and reads a result at most the largest diff below it
+        dmax = max((d for u in units for _, d, _ in u.sources), default=0)
         for j in range(1, m + 1):
             for t, k, res, kind, value, arity, ra, da, la, rb, db, lb, out in plan:
                 t += j * k
@@ -684,6 +687,12 @@ class SimState:
                 res[t] = value
                 if out is not None:
                     out[t] = value
+            if j % 64 == 0:  # drop the results nothing can read any more
+                for u in units:
+                    k, res = shift[comp[u.index]], results[u.index]
+                    for t in range(lo[comp[u.index]] - dmax + (j - 64) * k,
+                                   lo[comp[u.index]] - dmax + j * k):
+                        res.pop(t, None)
 
         # the state m periods on: ids shifted by m*k, times by m*period
         D = m * period
