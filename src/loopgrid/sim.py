@@ -696,26 +696,24 @@ class SimState:
 
         # the state m periods on: ids shifted by m*k, times by m*period
         D = m * period
+        K = [m * shift[r] for r in comp]  # unit index -> id shift
         for u in units:
             i = u.index
-            K = m * shift[comp[i]]
             u.fires += m * (u.fires - fires0[i])
             u.stalls += m * (self._stall_total(u) - stalls0[i])
             if u.since is not None:
                 u.since += D
-            u.buffers = [{t + K: operand(i, slot, t + K) for t in buf}
+            u.buffers = [{t + K[i]: operand(i, slot, t + K[i]) for t in buf}
                          for slot, buf in enumerate(u.buffers)]
-            u.out_queue = deque((t + K, results[i][t + K]) for t, _ in u.out_queue)
+            u.out_queue = deque((t + K[i], results[i][t + K[i]]) for t, _ in u.out_queue)
             for inj in u.injectors:
-                inj[3] += K
+                inj[3] += K[i]
             if u.is_const and u.next_tid < n:
-                u.next_tid += K
-        self.arrivals = {a + D: [(i, slot, t + m * shift[comp[i]],
-                                  operand(i, slot, t + m * shift[comp[i]]), r)
+                u.next_tid += K[i]
+        self.arrivals = {a + D: [(i, slot, t + K[i], operand(i, slot, t + K[i]), r)
                                  for i, slot, t, _, r in es]
                          for a, es in self.arrivals.items()}
-        self.completions = {a + D: [(u, t + m * shift[comp[u.index]],
-                                     results[u.index][t + m * shift[comp[u.index]]])
+        self.completions = {a + D: [(u, t + K[u.index], results[u.index][t + K[u.index]])
                                     for u, t, _ in es]
                             for a, es in self.completions.items()}
         issues = self.primary_issues[issues0:]
