@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 DEFAULT_MAX_LEN = 32
 DEFAULT_MAX_ROUTES = 4096
 MIN_ROUTINE_FRACTION = 0.01
+_LINE_CACHE_MAX = 4096  # distinct streaming lines ingest keeps parsed
 
 
 class TraceError(Exception):
@@ -55,66 +56,84 @@ def ingest(lines) -> dict[str, RoutineGraph]:
     Aggregated files start with ``#aggregated`` and hold
     ``routine,src,dst,edge_count`` lines plus ``#bb routine,bb,instr_count``
     declarations.  The two forms of one execution yield identical graphs.
+
+    A streaming trace repeats a few distinct lines many times, so each raw
+    streaming line is parsed once: its ``(graph, bb, instr)`` is kept in a
+    dict of at most ``_LINE_CACHE_MAX`` entries (later new lines take the
+    full parse).  Entries are added only once the trace is known to be
+    streaming, when no later line can change how a data line parses.
     """
     graphs: dict[str, RoutineGraph] = {}
     prev_bb: dict[str, int] = {}
+    parsed: dict[str, tuple[RoutineGraph, int, int]] = {}
     aggregated = None
 
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n").strip()
-        if not line:
-            continue
-        if line == "#aggregated":
-            if aggregated is False:
-                raise TraceError("mixed streaming and aggregated formats", lineno)
-            aggregated = True
-            continue
-        if line.startswith("#bb "):
-            if aggregated is not True:
-                raise TraceError("#bb declaration outside an aggregated trace", lineno)
-            parts = line[4:].split(",")
-            if len(parts) != 3:
-                raise TraceError(f"malformed #bb line: '{line}'", lineno)
-            routine, bb, instr = parts[0].strip(), parts[1], parts[2]
-            g = graphs.setdefault(routine, RoutineGraph(routine))
-            try:
-                g.instr_counts[int(bb)] = int(instr)
-            except ValueError:
-                raise TraceError(f"malformed #bb line: '{line}'", lineno)
-            continue
-        if line.startswith("#"):
-            continue
+    def graph(routine: str) -> RoutineGraph:
+        g = graphs.get(routine)
+        if g is None:
+            g = graphs[routine] = RoutineGraph(routine)
+        return g
 
-        parts = [p.strip() for p in line.split(",")]
-        if aggregated:
-            if len(parts) != 4:
-                raise TraceError(f"malformed aggregated line: '{line}'", lineno)
-            routine = parts[0]
-            try:
-                src, dst, count = int(parts[1]), int(parts[2]), int(parts[3])
-            except ValueError:
-                raise TraceError(f"malformed aggregated line: '{line}'", lineno)
-            if count < 1:
-                raise TraceError(f"edge count must be >= 1: '{line}'", lineno)
-            g = graphs.setdefault(routine, RoutineGraph(routine))
-            g.edge_counts[(src, dst)] = g.edge_counts.get((src, dst), 0) + count
-        else:
-            if aggregated is None:
-                aggregated = False
+    for lineno, raw in enumerate(lines, start=1):
+        entry = parsed.get(raw)
+        if entry is None:
+            line = raw.strip()
+            if not line:
+                continue
+            if line == "#aggregated":
+                if aggregated is False:
+                    raise TraceError("mixed streaming and aggregated formats", lineno)
+                aggregated = True
+                continue
+            if line.startswith("#bb "):
+                if aggregated is not True:
+                    raise TraceError("#bb declaration outside an aggregated trace", lineno)
+                parts = line[4:].split(",")
+                if len(parts) != 3:
+                    raise TraceError(f"malformed #bb line: '{line}'", lineno)
+                routine, bb, instr = parts[0].strip(), parts[1], parts[2]
+                g = graph(routine)
+                try:
+                    g.instr_counts[int(bb)] = int(instr)
+                except ValueError:
+                    raise TraceError(f"malformed #bb line: '{line}'", lineno)
+                continue
+            if line.startswith("#"):
+                continue
+
+            parts = [p.strip() for p in line.split(",")]
+            if aggregated:
+                if len(parts) != 4:
+                    raise TraceError(f"malformed aggregated line: '{line}'", lineno)
+                routine = parts[0]
+                try:
+                    src, dst, count = int(parts[1]), int(parts[2]), int(parts[3])
+                except ValueError:
+                    raise TraceError(f"malformed aggregated line: '{line}'", lineno)
+                if count < 1:
+                    raise TraceError(f"edge count must be >= 1: '{line}'", lineno)
+                g = graph(routine)
+                g.edge_counts[(src, dst)] = g.edge_counts.get((src, dst), 0) + count
+                continue
+            aggregated = False
             if len(parts) not in (2, 3):
                 raise TraceError(f"malformed trace line: '{line}'", lineno)
-            routine = parts[0]
             try:
                 bb = int(parts[1])
                 instr = int(parts[2]) if len(parts) == 3 else 1
             except ValueError:
                 raise TraceError(f"malformed trace line: '{line}'", lineno)
-            g = graphs.setdefault(routine, RoutineGraph(routine))
-            g.instr_counts[bb] = instr
-            if routine in prev_bb:
-                key = (prev_bb[routine], bb)
-                g.edge_counts[key] = g.edge_counts.get(key, 0) + 1
-            prev_bb[routine] = bb
+            entry = (graph(parts[0]), bb, instr)
+            if len(parsed) < _LINE_CACHE_MAX:
+                parsed[raw] = entry
+
+        g, bb, instr = entry
+        g.instr_counts[bb] = instr
+        routine = g.name
+        if routine in prev_bb:
+            key = (prev_bb[routine], bb)
+            g.edge_counts[key] = g.edge_counts.get(key, 0) + 1
+        prev_bb[routine] = bb
 
     return graphs
 
@@ -131,14 +150,16 @@ class LoopRoute:
     instructions_per_iteration: int
 
 
-def _circuits(edges, max_len: int):
-    """Simple cycles of at most max_len blocks.  Each is rooted at its
-    smallest block and extended only through larger ones, so it is found
-    once and already in canonical rotation; a block is entered only if its
-    hop distance back to the root still fits in the bound."""
+def _circuits(edge_counts: dict[tuple[int, int], int], max_len: int):
+    """Simple cycles of at most max_len blocks, as ``(-iterations, blocks)``.
+    Each is rooted at its smallest block and extended only through larger
+    ones, so it is found once and already in canonical rotation; a block is
+    entered only if its hop distance back to the root still fits in the
+    bound.  The search carries the smallest edge count along the current
+    path down its stack, so a cycle's bottleneck comes with it."""
     succ, pred = defaultdict(list), defaultdict(list)
-    for s, d in edges:
-        succ[s].append(d)
+    for (s, d), c in edge_counts.items():
+        succ[s].append((d, c))
         pred[d].append(s)
     for root in sorted(succ):
         dist = {root: 0}  # reverse BFS over the blocks larger than root
@@ -148,33 +169,32 @@ def _circuits(edges, max_len: int):
                 if p > root and p not in dist:
                     dist[p] = dist[v] + 1
                     queue.append(p)
-        path, stack = [root], [iter(succ[root])]
+        path, stack, low = [root], [iter(succ[root])], [float("inf")]
         while stack:
-            for nxt in stack[-1]:
+            for nxt, c in stack[-1]:
                 if nxt == root and len(path) <= max_len:
-                    yield tuple(path)
+                    yield -min(low[-1], c), tuple(path)
                 elif nxt in dist and nxt not in path and len(path) + dist[nxt] <= max_len:
                     path.append(nxt)
                     stack.append(iter(succ[nxt]))
+                    low.append(min(low[-1], c))
                     break
             else:
                 stack.pop()
                 path.pop()
+                low.pop()
 
 
 def enumerate_loops(g: RoutineGraph, max_len: int = DEFAULT_MAX_LEN,
                     max_routes: int = DEFAULT_MAX_ROUTES) -> tuple[list[LoopRoute], bool]:
     """All simple cycles up to max_len blocks, ordered by descending
-    iteration count then block sequence; returns (routes, truncated)."""
-    routes = []
-    for seq in _circuits(g.edge_counts, max_len):
-        closed = list(zip(seq, seq[1:] + seq[:1]))
-        iters = min(g.edge_counts[e] for e in closed)
-        instrs = sum(g.instr_counts.get(bb, 1) for bb in seq)
-        routes.append(LoopRoute(seq, iters, instrs))
-    routes.sort(key=lambda r: (-r.iterations, r.blocks))
-    truncated = len(routes) > max_routes
-    return routes[:max_routes], truncated
+    iteration count then block sequence; returns (routes, truncated).
+    Only the routes kept get a ``LoopRoute`` and an instruction sum."""
+    found = sorted(_circuits(g.edge_counts, max_len))
+    instrs = g.instr_counts
+    routes = [LoopRoute(seq, -neg, sum(instrs.get(bb, 1) for bb in seq))
+              for neg, seq in found[:max_routes]]
+    return routes, len(found) > max_routes
 
 
 @dataclass

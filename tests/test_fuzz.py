@@ -1,7 +1,8 @@
 """Mutated input text: every defect must surface as the documented error type.
 
 Each example applies 1-4 single-character inserts, deletes or replaces to a
-bundled fixture, so most mutants sit one typo away from a valid file.
+bundled fixture or to an inline streaming trace, so most mutants sit one typo
+away from a valid file.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -13,7 +14,25 @@ from loopgrid.sim import DeadlockError, MachineParams, simulate
 from loopgrid.traceflow import TraceError, ingest, prevalence_report
 
 DFG_TEXTS = [p.read_text() for p in sorted(FIXTURES.glob("*.dfg"))]
-TRC_TEXTS = [p.read_text() for p in sorted((FIXTURES / "traces").glob("*.trc"))]
+# every bundled trace is aggregated; the streaming text repeats its lines,
+# so mutants also reach ingest's parsed-line lookups
+STREAM_TEXT = """# two routines, interleaved
+main,0,4
+main,1,2
+main,2,7
+main,1,2
+main,2,7
+main,3
+helper,0,1
+helper,1,3
+helper,0,1
+helper,1,3
+main,1,2
+main,2,7
+main,3
+main,0,4
+"""
+TRC_TEXTS = [p.read_text() for p in sorted((FIXTURES / "traces").glob("*.trc"))] + [STREAM_TEXT]
 
 # characters the two formats give meaning to, plus a few they do not
 ALPHABET = "0123456789 \n\t#,-+.xeinfa_z"

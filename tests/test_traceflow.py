@@ -1,12 +1,16 @@
 """Block-trace ingestion, loop-route enumeration, and prevalence stats."""
 
+import io
 import itertools
 import random
+import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from loopgrid.traceflow import (
+    _LINE_CACHE_MAX,
     DEFAULT_MAX_LEN,
     LoopRoute,
     RoutineGraph,
@@ -94,6 +98,97 @@ def test_malformed_traces(lines, line):
     assert exc.value.line == line
 
 
+def stream_oracle(events):
+    """Independent reading of a streaming trace given as (routine, bb, instr)
+    events: per routine, the last instr per block and a Counter of
+    consecutive block pairs, both in first-seen order."""
+    graphs, prev = {}, {}
+    for name, bb, instr in events:
+        instrs, edges = graphs.setdefault(name, ({}, Counter()))
+        instrs[bb] = 1 if instr is None else instr
+        if name in prev:
+            edges[(prev[name], bb)] += 1
+        prev[name] = bb
+    return graphs
+
+
+def assert_matches_oracle(graphs, events):
+    expect = stream_oracle(events)
+    assert list(graphs) == list(expect)
+    for name, (instrs, edges) in expect.items():
+        g = graphs[name]
+        assert g.name == name
+        assert list(g.instr_counts.items()) == list(instrs.items())
+        assert list(g.edge_counts.items()) == list(edges.items())
+
+
+PAD = st.sampled_from(["", " ", "\t", "  "])
+EOL = st.sampled_from(["\n", "\r\n"])
+FILLER = st.sampled_from(["", "  ", "# note", "#x,1,2", "\t# c"])
+EVENT = st.tuples(st.sampled_from(["main", "f", "g2"]), st.integers(0, 5),
+                  st.none() | st.integers(1, 9))
+
+
+@st.composite
+def rendered_streams(draw):
+    """A streaming trace as text: drawn events, each rendered with drawn
+    padding and line ending, with blank and comment lines in between."""
+    events = draw(st.lists(EVENT, max_size=60))
+    out = []
+    for name, bb, instr in events:
+        if draw(st.booleans()):
+            out.append(draw(FILLER) + draw(EOL))
+        fields = [name, str(bb)] + ([] if instr is None else [str(instr)])
+        out.append(",".join(draw(PAD) + f + draw(PAD) for f in fields) + draw(EOL))
+    return events, "".join(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rendered_streams())
+def test_streaming_ingest_matches_oracle(case):
+    events, text = case
+    assert_matches_oracle(ingest(io.StringIO(text)), events)
+
+
+@pytest.mark.parametrize(
+    "last,message",
+    [
+        ("#aggregated", "mixed streaming and aggregated formats"),
+        ("#bb f,0,5", "#bb declaration outside an aggregated trace"),
+        ("f,0,x", "malformed trace line: 'f,0,x'"),
+    ],
+)
+def test_error_after_repeated_streaming_lines(last, message):
+    # the first lines repeat, so they are parsed once and then looked up
+    lines = ["f,0,5", "f,1", "f,0,5", "f,1", "f,0,5", last, "f,1"]
+    with pytest.raises(TraceError) as exc:
+        ingest(lines)
+    assert exc.value.line == 6
+    assert str(exc.value) == f"{message} (line 6)"
+
+
+def test_more_distinct_lines_than_the_cache_holds():
+    # every line distinct; the second pass repeats them, so the first
+    # _LINE_CACHE_MAX are looked up and the rest are parsed in full again
+    events = [(f"r{i % 3}", i % 7, i) for i in range(3 * _LINE_CACHE_MAX)]
+    lines = [f"{name},{bb},{instr}" for name, bb, instr in events]
+    assert_matches_oracle(ingest(lines + lines), events + events)
+
+
+def test_line_cache_memory_is_bounded():
+    # 240k distinct lines; without a bound the parsed lines alone take
+    # tens of MB, with it well under one
+    tracemalloc.start()
+    try:
+        g = ingest(f"f,{i % 2},{i}\n" for i in range(240_000))["f"]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.edge_counts == {(0, 1): 120_000, (1, 0): 119_999}
+    assert g.instr_counts == {0: 239_998, 1: 239_999}
+    assert peak < 2_000_000
+
+
 # ---------------------------------------------------------------- enumeration
 
 def test_self_loop_route():
@@ -169,6 +264,25 @@ def test_cycle_sets_match_brute_force_random(edge_set):
     routes, truncated = enumerate_loops(g, max_routes=100_000)
     assert not truncated
     assert {r.blocks for r in routes} == brute_force_cycles(edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                       st.integers(1, 4), min_size=1, max_size=24),
+       st.dictionaries(st.integers(0, 6), st.integers(1, 9)),
+       st.integers(1, 7), st.integers(1, 12))
+def test_weighted_routes_match_brute_force(edges, instrs, max_len, max_routes):
+    # few distinct counts, so many routes tie on iterations and the block
+    # sequence decides their order
+    g = RoutineGraph("f", instr_counts=instrs, edge_counts=edges)
+    expect = sorted(
+        (LoopRoute(c, min(edges[e] for e in zip(c, c[1:] + c[:1])),
+                   sum(instrs.get(bb, 1) for bb in c))
+         for c in brute_force_cycles(edges, max_len)),
+        key=lambda r: (-r.iterations, r.blocks))
+    routes, truncated = enumerate_loops(g, max_len=max_len, max_routes=max_routes)
+    assert routes == expect[:max_routes]
+    assert truncated == (len(expect) > max_routes)
 
 
 # ---------------------------------------------------------------- prevalence
