@@ -351,6 +351,8 @@ def validate(g: DataflowGraph) -> list[Violation]:
         if 0 <= lv.node < n and not 0 <= lv.slot < g.node(lv.node).n_inputs:
             out.append(Violation("arity-mismatch", f"livein '{lv.name}': node {lv.node} "
                                  f"({g.node(lv.node).kind}) has no slot {lv.slot}"))
+        if not lv.values:
+            out.append(Violation("livein-length", f"livein '{lv.name}' has no values"))
         liveins_in.setdefault((lv.node, lv.slot), []).append(lv)
 
     # every non-const input slot fed exactly once (a back edge plus its livein

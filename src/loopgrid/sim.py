@@ -45,28 +45,31 @@ progress and nothing in flight before every live-out exists raises
 DeadlockError at once: no state changed, so every later cycle would repeat
 it.
 
-Every loop iteration is its own thread, so a run in steady state repeats
-its state exactly up to a shift of thread ids.  An untraced run of at
-least ``FAST_FORWARD_MIN_THREADS`` threads watches for that repeat with
-Brent's cycle detection for at most ``FAST_FORWARD_MAX_STEPS`` steps.  The
-signature holds buffered, held and in-flight thread ids relative to the
-smallest one, event times relative to the cycle, const and live-in
-counters, which units are mid-stall, the load count and the units to
-visit next; it holds no token value.  Units joined by an edge (or by the
-load cap) form a component, and each component may shift by its own k.
-A repeat after P cycles lets the kernel skip m whole periods, m as large
-as keeps every const issue, live-in and retag below its thread limit (so
-no retag is dropped in a skipped period): fires, stalls, the cycle, the
-live-out count and the primary unit's issue cycles grow by m times the
-period's change.  This is exact because timing never reads a value.  The
-values come from replaying the period's fires, shifted, in fire order
-through ``eval_op`` and the same memory, so stores, loads and the first
-ExecError are those of a full run.  Detection then starts over, since a
-component that stopped (a const done issuing) can leave the rest to repeat
-for longer; the normal kernel finishes the tail, deadlocks included.  A
-traced run never skips, so its trace lists every cycle.  A single
-simulation is strictly single-threaded; distinct simulations share no
-state.
+Every loop iteration is its own thread, so a unit's fire count says where
+it stands in thread space, and a run in steady state repeats its state
+exactly up to a shift of thread ids.  An untraced run of at least
+``FAST_FORWARD_MIN_THREADS`` threads watches for that repeat with Brent's
+cycle detection for at most ``FAST_FORWARD_MAX_STEPS`` steps.  The
+signature counts every thread id from a fire count: the ids a unit holds,
+injects or completes from its own, the ids in an arrival from the
+receiving unit's.  It also holds event times relative to the cycle, which
+units are mid-stall, the load count and the units to visit next; it holds
+no token value.  A repeat after P cycles moves each unit by k, its own
+fire-count change.  Every token in flight repeats, so a producer moves as
+its consumer does, while units that share no edge (loads under the memory
+cap among them) each keep their own k.  The kernel then skips m whole
+periods, m as large as keeps every const issue, live-in and retag below
+its thread limit (so no retag is dropped in a skipped period): fires,
+stalls, the cycle, the live-out count and the primary unit's issue cycles
+grow by m times the period's change.  This is exact because timing never
+reads a value.  The values come from replaying the period's fires,
+shifted, in fire order through ``eval_op`` and the same memory, so
+stores, loads and the first ExecError are those of a full run.  Detection
+then starts over, since a unit that stopped (a const done issuing) can
+leave the rest to repeat for longer; the normal kernel finishes the tail,
+deadlocks included.  A traced run never skips, so its trace lists every
+cycle.  A single simulation is strictly single-threaded; distinct
+simulations share no state.
 """
 
 from __future__ import annotations
@@ -160,8 +163,7 @@ class SimInvariantError(AssertionError):
 class _Unit:
     __slots__ = ("index", "node", "cell", "latency", "arity", "is_const", "is_load",
                  "emits", "buffers", "reserved", "out_queue", "links", "feeders",
-                 "carriers", "injectors", "sources", "liveout", "next_tid", "fires",
-                 "stalls", "since")
+                 "carriers", "injectors", "sources", "liveout", "fires", "stalls", "since")
 
     def __init__(self, index, node, cell, latency):
         self.index = index  # position in node order, which is firing order
@@ -184,8 +186,7 @@ class _Unit:
         # per slot: (producer index or None, diff (0 on an intra edge), livein or None)
         self.sources = [(None, 0, None)] * self.arity
         self.liveout = None  # thread id -> value, on a live-out unit
-        self.next_tid = 0  # const issue counter
-        self.fires = 0
+        self.fires = 0  # a const issues thread ``fires`` next
         self.stalls = 0  # stall cycles credited so far
         self.since = None  # first cycle of the current uncredited stall run
 
@@ -271,6 +272,8 @@ class SimState:
         dep_diff = {(e.dst, e.slot): e.diff for e in dfg.back_edges()}
         self._inject = []
         for lv in dfg.live_in.values():
+            if not lv.values:
+                raise DfgError("livein-length", f"livein '{lv.name}' has no values")
             limit = min(dep_diff.get((lv.node, lv.slot), params.n_threads), params.n_threads)
             inj = [by_id[lv.node].index, lv.slot, lv, 0, limit]
             by_id[lv.node].injectors.append(inj)
@@ -310,23 +313,6 @@ class SimState:
             self._log = []
             self._saved = None  # the checkpoint (see _watch)
             self._power, self._lam, self._budget = 1, 0, FAST_FORWARD_MAX_STEPS
-            # units joined by an edge (or by the load cap) form a component;
-            # each component repeats with its own thread shift.  Unit index ->
-            # index of its component's root unit.
-            root = list(range(len(self.units)))
-
-            def find(i):
-                while root[i] != i:
-                    i = root[i]
-                return i
-
-            pairs = [(by_id[e.src].index, by_id[e.dst].index) for e in dfg.edges]
-            if params.mem_max_outstanding is not None:
-                loads = sorted(self._loads)
-                pairs += zip(loads, loads[1:])
-            for a, b in pairs:
-                root[find(a)] = find(b)
-            self._comp = [find(i) for i in range(len(self.units))]
 
     # -- helpers -----------------------------------------------------------
 
@@ -454,10 +440,9 @@ class SimState:
             u = units[i]
             nd = u.node
             if u.is_const:
-                if u.next_tid >= n or u.out_queue:
+                if u.fires >= n or u.out_queue:
                     continue
-                tid = u.next_tid
-                u.next_tid += 1
+                tid = u.fires
                 value = nd.value
             else:
                 bufs = u.buffers
@@ -532,46 +517,20 @@ class SimState:
 
     def _signature(self):
         """The state as far as timing reads it, less what ``_watch`` keys on:
-        each component's thread ids relative to the smallest it holds, event
-        times relative to the cycle, no values.  Returns the smallest and the
-        largest id per component (0 and -1 when it holds none) and the
-        signature."""
-        n = self.params.n_threads
+        every thread id counted from a fire count (the unit's own for what it
+        holds, injects or completes, the receiving unit's for an arrival),
+        event times relative to the cycle, no values."""
         c = self.cycle
         units = self.units
-        comp = self._comp
-        arrivals = sorted(self.arrivals.items())
-        completions = sorted(self.completions.items())  # cycles are unique keys
-        ids = {r: [] for r in comp}
-        for u in units:
-            held = ids[comp[u.index]]
-            for buf in u.buffers:
-                held += buf
-            held += [t for t, _ in u.out_queue]
-            held += [inj[3] for inj in u.injectors]
-            if u.is_const and u.next_tid < n:
-                held.append(u.next_tid)
-        for _, es in arrivals:
-            for i, _, t, _, _ in es:
-                ids[comp[i]].append(t)
-        for _, es in completions:
-            for u, t, _ in es:
-                ids[comp[u.index]].append(t)
-        lo = {r: min(held, default=0) for r, held in ids.items()}
-        hi = {r: max(held, default=-1) for r, held in ids.items()}
-        state = []
-        for u in units:
-            b = lo[comp[u.index]]
-            state.append(([sorted(t - b for t in buf) for buf in u.buffers], tuple(u.reserved),
-                          [t - b for t, _ in u.out_queue],
-                          [(inj[1], inj[3] - b) for inj in u.injectors],
-                          u.next_tid - b if u.is_const and u.next_tid < n else None,
-                          u.since is None))
-        state.append([(a - c, [(i, s, t - lo[comp[i]], r) for i, s, t, _, r in es])
-                      for a, es in arrivals])
-        state.append([(a - c, [(u.index, t - lo[comp[u.index]]) for u, t, _ in es])
-                      for a, es in completions])
-        return lo, hi, state
+        state = [([sorted(t - u.fires for t in buf) for buf in u.buffers], tuple(u.reserved),
+                  [t - u.fires for t, _ in u.out_queue],
+                  [(inj[1], inj[3] - u.fires) for inj in u.injectors], u.since is None)
+                 for u in units]
+        state.append([(a - c, [(i, s, t - units[i].fires, r) for i, s, t, _, r in es])
+                      for a, es in sorted(self.arrivals.items())])
+        state.append([(a - c, [(u.index, t - u.fires) for u, t, _ in es])
+                      for a, es in sorted(self.completions.items())])  # cycles are unique keys
+        return state
 
     def _watch(self):
         """Brent's cycle detection: compare each state with a checkpoint that
@@ -590,44 +549,39 @@ class SimState:
         found = None
         if saved is not None and key == saved[0]:
             found = self._signature()
-            if found[2] == saved[1] and self._skip(saved, *found[:2]):
-                # look again: a component that stopped (a const done issuing)
+            if found == saved[1] and self._skip(saved):
+                # look again: a unit that stopped (a const done issuing)
                 # leaves the others to repeat with a longer reach
                 self._saved, self._power, self._lam, self._log = None, 1, 0, []
                 return
         if self._lam == self._power:
-            lo, _, sig = found or self._signature()
-            self._saved = (key, sig, lo, c, [u.fires for u in self.units],
+            self._saved = (key, found or self._signature(), c, [u.fires for u in self.units],
                            [self._stall_total(u) for u in self.units], self._missing,
                            len(self.primary_issues))
             self._power *= 2
             self._lam = 0
             self._log = []
 
-    def _skip(self, saved, lo, hi) -> bool:
-        """Jump m whole periods past the repeat of checkpoint ``saved``, with
-        m as large as keeps every thread-id test (const issue, retag drop,
-        live-in limit) reading as it did in the recorded period.  So no
-        retag is dropped in a skipped period: a drop in the recorded one
-        leaves no m."""
-        _, _, lo0, cycle0, fires0, stalls0, missing0, issues0 = saved
+    def _skip(self, saved) -> bool:
+        """Jump m whole periods past the repeat of checkpoint ``saved``, each
+        unit's ids moving by k, its fire count's change.  A unit that fired
+        no id at or above its fire count completes none, so while m <= (n -
+        fires - diff) // k every thread-id test (const issue, retag drop,
+        live-in limit) reads as in the recorded period: a drop there leaves
+        no m, so none happens in a skipped period."""
+        _, _, cycle0, fires0, stalls0, missing0, issues0 = saved
         n = self.params.n_threads
         units = self.units
-        comp = self._comp
         fires = self._log
-        period = self.cycle - cycle0
-        shift = {r: lo[r] - lo0[r] for r in lo}  # thread shift per component
-        if min(shift.values()) < 0 or max(shift.values()) < 1:
+        if not fires or any(t >= units[i].fires for i, t in fires):
             return False
-        top = dict(hi)  # largest id each component holds or fired in the period
-        for i, t in fires:
-            top[comp[i]] = max(top[comp[i]], t)
+        period = self.cycle - cycle0
+        shift = [u.fires - f for u, f in zip(units, fires0)]  # unit index -> thread shift
         m = n
-        for u in units:
-            k = shift[comp[u.index]]
+        for u, k in zip(units, shift):
             if k:
                 diff = max((d for _, _, d, _ in u.carriers), default=0)
-                m = min(m, (n - 1 - top[comp[u.index]] - diff) // k)
+                m = min(m, (n - u.fires - diff) // k)
                 for inj in u.injectors:
                     m = min(m, (inj[4] - 1 - inj[3]) // k)
         produced = missing0 - self._missing  # live-out values per period
@@ -635,31 +589,47 @@ class SimState:
             m = min(m, (self._missing - 1) // produced)
         if m < 1:
             return False
+        # every token in flight repeats, so a producer fires as often as its consumer
+        for u in units:
+            for p, _, _ in u.sources:
+                if p is not None and shift[p] != shift[u.index]:
+                    raise SimInvariantError(f"node {u.node.id} shifts by {shift[u.index]}, "
+                                            f"its producer {units[p].node.id} by {shift[p]}")
 
         # values: replay the period's fires m times, shifted, in fire order
         results = [{} for _ in units]  # unit index -> thread id -> result
+        # unit index -> smallest id in flight as its result: after period j
+        # every result still to be read has an id of at least low + j*k, since
+        # what is in flight then is what is in flight now, shifted
+        low = [u.fires for u in units]
 
         def operand(i, slot, t):
             p, d, lv = units[i].sources[slot]
             return results[p][t - d] if p is not None and t >= d else lv.value_for(t)
 
+        def keep(p, t, value):
+            # t < 0: a live-in, in the place a result of p takes periods on
+            low[p] = min(low[p], t)
+            if t >= 0:
+                results[p][t] = value
+
         def note(i, slot, t, value):
             p, d, _ = units[i].sources[slot]
-            if p is not None and t >= d:
-                results[p][t - d] = value
+            if p is not None:
+                keep(p, t - d, value)
 
         for u in units:
             for slot, buf in enumerate(u.buffers):
                 for t, value in buf.items():
                     note(u.index, slot, t, value)
             for t, value in u.out_queue:
-                results[u.index][t] = value
+                keep(u.index, t, value)
         for es in self.arrivals.values():
             for i, slot, t, value, _ in es:
                 note(i, slot, t, value)
         for es in self.completions.values():
             for u, t, value in es:
-                results[u.index][t] = value
+                keep(u.index, t, value)
                 if u.liveout is not None:
                     u.liveout[t] = value
         # per fire: thread id and shift, result table, kind, const value, each
@@ -668,13 +638,10 @@ class SimState:
         for i, t in fires:
             u = units[i]
             (pa, da, la), (pb, db, lb) = u.sources + [(None, 0, None)] * (2 - u.arity)
-            plan.append((t, shift[comp[i]], results[i], u.node.kind, u.node.value, u.arity,
+            plan.append((t, shift[i], results[i], u.node.kind, u.node.value, u.arity,
                          None if pa is None else results[pa], da, la,
                          None if pb is None else results[pb], db, lb, u.liveout))
         memory = self.memory
-        # after period j every token still to be read has an id of at least
-        # lo + j*k and reads a result at most the largest diff below it
-        dmax = max((d for u in units for _, d, _ in u.sources), default=0)
         for j in range(1, m + 1):
             for t, k, res, kind, value, arity, ra, da, la, rb, db, lb, out in plan:
                 t += j * k
@@ -688,18 +655,16 @@ class SimState:
                 if out is not None:
                     out[t] = value
             if j % 64 == 0:  # drop the results nothing can read any more
-                for u in units:
-                    k, res = shift[comp[u.index]], results[u.index]
-                    for t in range(lo[comp[u.index]] - dmax + (j - 64) * k,
-                                   lo[comp[u.index]] - dmax + j * k):
+                for res, lo, k in zip(results, low, shift):
+                    for t in range(lo + (j - 64) * k, lo + j * k):
                         res.pop(t, None)
 
         # the state m periods on: ids shifted by m*k, times by m*period
         D = m * period
-        K = [m * shift[r] for r in comp]  # unit index -> id shift
+        K = [m * k for k in shift]  # unit index -> id shift
         for u in units:
             i = u.index
-            u.fires += m * (u.fires - fires0[i])
+            u.fires += K[i]
             u.stalls += m * (self._stall_total(u) - stalls0[i])
             if u.since is not None:
                 u.since += D
@@ -708,8 +673,6 @@ class SimState:
             u.out_queue = deque((t + K[i], results[i][t + K[i]]) for t, _ in u.out_queue)
             for inj in u.injectors:
                 inj[3] += K[i]
-            if u.is_const and u.next_tid < n:
-                u.next_tid += K[i]
         self.arrivals = {a + D: [(i, slot, t + K[i], operand(i, slot, t + K[i]), r)
                                  for i, slot, t, _, r in es]
                          for a, es in self.arrivals.items()}

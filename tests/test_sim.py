@@ -4,7 +4,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from loopgrid.grid import MapError, map_graph
-from loopgrid.ir import DfgError, ExecError, LiveIn, load_dfg, parse_dfg, reference_execute
+from loopgrid.ir import (DfgError, ExecError, LiveIn, load_dfg, parse_dfg, reference_execute,
+                         validate)
 from loopgrid.sim import (
     DeadlockError,
     IIOracleError,
@@ -273,6 +274,24 @@ def test_slot_fed_twice_refused_with_typed_error(extra):
     with pytest.raises(DfgError) as exc:
         simulate(cfg, g, MachineParams(mode="dr", n_threads=4))
     assert exc.value.code == "duplicate-slot"
+
+
+@pytest.mark.parametrize("text", [
+    "node 0 const 1\nnode 1 add\nedge 0 1 1\nlivein a 1 0 5\nliveout 1",
+    "node 0 const 1\nnode 1 add\nedge 0 1 0\nback 1 1 1 1\nlivein a 1 1 0\nliveout 1",
+], ids=["plain", "dependent"])
+def test_empty_livein_refused_with_typed_error(text):
+    # parse_dfg needs a value; a livein built in code without one made
+    # simulate raise a bare IndexError
+    g = parse_dfg(text)
+    lv = g.live_in["a"]
+    g.live_in["a"] = LiveIn("a", lv.node, lv.slot, ())
+    assert "livein-length" in [v.code for v in validate(g)]
+    cfg = map_graph(g)
+    for mode in ("dr", "baseline"):
+        with pytest.raises(DfgError) as exc:
+            simulate(cfg, g, MachineParams(mode=mode, n_threads=4))
+        assert exc.value.code == "livein-length", mode
 
 
 def test_empty_graph_matches_reference():

@@ -24,6 +24,13 @@ from loopgrid.sim import DeadlockError, MachineParams
 TRACED_UP_TO = 64  # thread counts above this compare reports only
 
 
+class Discard:
+    """A trace sink: a traced run visits every unit each cycle and never skips."""
+
+    def write(self, text):
+        pass
+
+
 def outcome(simulate, cfg, g, params, traced):
     """Report JSON text (or the deadlock cycle and message, or the first
     ExecError) and the text trace.  As text, a nan live-out equals itself."""
@@ -187,6 +194,92 @@ def test_fast_forward_engages_untraced_only(fixtures, monkeypatch):
 
     traced = sim.simulate(cfg, g, params, trace=Discard())
     assert traced.to_json() == rep.to_json() and steps == rep.total_cycles
+
+
+# two accumulators that share no node, an add (alu) and an fadd (fpu), so
+# they repeat at different rates; the second form feeds each from its own
+# load, and one outstanding load lets them contend for memory
+TWO_RECURRENCES = """
+node 0 const 1
+node 1 add
+edge 0 1 0
+back 1 1 1 1
+livein a 1 1 0
+node 2 const 0.5
+node 3 fadd
+edge 2 3 0
+back 3 3 1 1
+livein b 3 1 0.0
+liveout 1
+liveout 3
+"""
+TWO_LOADED_RECURRENCES = """
+node 0 const 0
+node 1 load
+node 2 add
+edge 0 1 0
+edge 1 2 0
+back 2 2 1 1
+livein a 2 1 0
+node 3 const 1
+node 4 load
+node 5 fadd
+edge 3 4 0
+edge 4 5 0
+back 5 5 1 1
+livein b 5 1 0.0
+mem 0 1
+mem 1 0.5
+liveout 2
+liveout 5
+"""
+
+
+@pytest.mark.parametrize("mode", ["baseline", "dr"])
+@pytest.mark.parametrize("text, cap", [(TWO_RECURRENCES, None), (TWO_LOADED_RECURRENCES, 1)],
+                         ids=["independent", "load-capped"])
+def test_fast_forward_skips_each_component_at_its_own_rate(monkeypatch, mode, text, cap):
+    g = parse_dfg(text)
+    cfg = map_graph(g)
+    steps = 0
+    step = sim.SimState.step
+
+    def counted(self):
+        nonlocal steps
+        steps += 1
+        step(self)
+
+    monkeypatch.setattr(sim.SimState, "step", counted)
+    params = MachineParams(mode=mode, n_threads=1024, mem_max_outstanding=cap)
+    rep = sim.simulate(cfg, g, params)
+    assert steps < 1_000
+    assert sim.simulate(cfg, g, params, trace=Discard()).to_json() == rep.to_json()
+
+
+SEEDED_SELF_LOOP = """
+node 0 const 0
+node 1 load
+node 2 cmp
+edge 0 1 0
+edge 1 2 1
+back 2 2 0 3
+livein s 2 0 -8 -9 -9
+mem 0 7
+node 3 const 5
+liveout 2
+"""
+
+
+@pytest.mark.parametrize("mode", ["baseline", "dr"])
+def test_fast_forward_keeps_results_a_seeded_slot_will_read(mode):
+    # the unconnected const makes every cycle a step, so the run repeats while
+    # node 2 still holds a seed; a result takes that seed's place a period
+    # on, and the drop every 64 periods must keep it
+    g = parse_dfg(SEEDED_SELF_LOOP)
+    cfg = map_graph(g)
+    params = MachineParams(mode=mode, n_threads=1500, mem_max_outstanding=1)
+    want = sim.simulate(cfg, g, params, trace=Discard()).to_json()
+    assert sim.simulate(cfg, g, params).to_json() == want
 
 
 def test_deadlock_cycle_and_trace_match_oracle():

@@ -176,16 +176,16 @@ def test_more_distinct_lines_than_the_cache_holds():
 
 
 def test_line_cache_memory_is_bounded():
-    # 240k distinct lines; without a bound the parsed lines alone take
-    # tens of MB, with it well under one
+    # 60k distinct lines; without a bound the parsed lines alone take about
+    # 11 MB, with it under one
     tracemalloc.start()
     try:
-        g = ingest(f"f,{i % 2},{i}\n" for i in range(240_000))["f"]
+        g = ingest(f"f,{i % 2},{i}\n" for i in range(60_000))["f"]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert g.edge_counts == {(0, 1): 120_000, (1, 0): 119_999}
-    assert g.instr_counts == {0: 239_998, 1: 239_999}
+    assert g.edge_counts == {(0, 1): 30_000, (1, 0): 29_999}
+    assert g.instr_counts == {0: 59_998, 1: 59_999}
     assert peak < 2_000_000
 
 
