@@ -90,13 +90,7 @@ def run_pair(dfg_path: str, threads: int, grid: GridSpec | None = None,
 
 def sweep(exp: Experiment) -> SpeedupCurve:
     grid = load_grid(exp.grid) if exp.grid else None
-    points = []
-    for t in exp.threads:
-        try:
-            points.append(run_pair(exp.dfg, t, grid, exp.overrides))
-        except Exception as exc:
-            raise RuntimeError(f"sweep point (threads={t}) failed: {exc}") from exc
-    return SpeedupCurve(points)
+    return SpeedupCurve([run_pair(exp.dfg, t, grid, exp.overrides) for t in exp.threads])
 
 
 def weighted_speedup(speedups: dict[str, float], weights: dict[str, float]) -> float:

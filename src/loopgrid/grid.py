@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass, field
 
 from .analysis import DEFAULT_LATENCIES, LoopCarriedDep, LoopPattern, classify, find_deps
-from .ir import DataflowGraph
+from .ir import DataflowGraph, memory_carried
 
 COMPUTE, LDST, CONTROL, SJU = "COMPUTE", "LDST", "CONTROL", "SJU"
 
@@ -318,5 +318,8 @@ def map_graph(g: DataflowGraph, spec: GridSpec | None = None) -> GridConfig:
     """Full pipeline: dependency analysis, placement, routing, feedback."""
     spec = spec or default_grid()
     deps = find_deps(g, spec.latencies)
+    carried = memory_carried(g)
+    if carried:
+        raise MapError("memory-carried", carried[0])
     placement = place(g, spec)
     return attach_feedback(g, deps, placement, spec)

@@ -34,6 +34,7 @@ KIND_INFO.update(
 )
 
 _I64_MASK = (1 << 64) - 1
+_I64_MIN, _I64_MAX = -(1 << 63), (1 << 63) - 1
 
 
 def wrap64(v: int) -> int:
@@ -408,7 +409,35 @@ def validate(g: DataflowGraph) -> list[Violation]:
         if nd.kind == "sink" and nd.id in srcs:
             out.append(Violation("sink-output", f"sink node {nd.id} has outputs"))
 
+    out += [Violation("memory-carried", msg) for msg in memory_carried(g)]
     return out
+
+
+def memory_carried(g: DataflowGraph) -> list[str]:
+    """One message per load and store whose addresses can be equal.
+
+    The simulator does not order a load after an older thread's store, so
+    such a pair can make it disagree with the reference.  An address slot
+    takes a const producer's value or a live-in's listed values; an address
+    any other producer computes is unknown and is not refused.
+    """
+    kinds = {nd.id: nd.kind for nd in g.nodes}
+    consts = {nd.id: nd.value for nd in g.nodes if nd.kind == "const"}
+    addrs: dict[int, set | None] = {nid: set() for nid, k in kinds.items()
+                                    if k in ("load", "store")}
+    for e in g.edges:
+        if e.slot == 0 and addrs.get(e.dst) is not None:
+            if e.src in consts:
+                addrs[e.dst].add(consts[e.src])
+            else:
+                addrs[e.dst] = None
+    for lv in g.live_in.values():
+        if lv.slot == 0 and addrs.get(lv.node) is not None:
+            addrs[lv.node].update(lv.values)
+    known = [(nid, a) for nid, a in addrs.items() if a]
+    return [f"load {ld} and store {st} can both use address {min(la & sa)}"
+            for ld, la in known if kinds[ld] == "load"
+            for st, sa in known if kinds[st] == "store" and la & sa]
 
 
 def topo_order(g: DataflowGraph) -> list[int] | None:
@@ -436,49 +465,75 @@ def topo_order(g: DataflowGraph) -> list[int] | None:
 # Reference interpreter
 
 
-def eval_op(kind: str, a, b, memory: dict):
-    """Evaluate one operation; shared by the interpreter and the simulator."""
-    if kind == "add":
-        r = a + b
-        return wrap64(r) if isinstance(r, int) else r
-    if kind == "sub":
-        r = a - b
-        return wrap64(r) if isinstance(r, int) else r
-    if kind == "mul":
-        r = a * b
-        return wrap64(r) if isinstance(r, int) else r
-    if kind == "cmp":
-        return 1 if a < b else 0
-    if kind in ("and", "or", "shift"):
+def _add(a, b, memory):
+    r = a + b
+    return r if _I64_MIN <= r <= _I64_MAX or not isinstance(r, int) else wrap64(r)
+
+
+def _sub(a, b, memory):
+    r = a - b
+    return r if _I64_MIN <= r <= _I64_MAX or not isinstance(r, int) else wrap64(r)
+
+
+def _mul(a, b, memory):
+    r = a * b
+    return r if _I64_MIN <= r <= _I64_MAX or not isinstance(r, int) else wrap64(r)
+
+
+def _bitwise(kind: str, f):
+    def op(a, b, memory):
         for x in (a, b):
             if isinstance(x, float) and not math.isfinite(x):
                 raise ExecError("non-finite", f"'{kind}' needs an integer, got {x}")
-        if kind == "and":
-            return wrap64(int(a) & int(b))
-        if kind == "or":
-            return wrap64(int(a) | int(b))
-        return wrap64(int(a) << (int(b) & 63))
-    if kind == "fadd":
-        return float(a) + float(b)
-    if kind == "fmul":
-        return float(a) * float(b)
-    if kind == "fdiv":
-        if float(b) == 0.0:
-            raise ExecError("fdiv-zero", "float division by zero")
-        return float(a) / float(b)
-    if kind == "load":
-        if a not in memory:
-            raise ExecError("bad-address", f"load from unmapped address {a}")
-        return memory[a]
-    if kind == "store":
-        memory[a] = b
-        return b
-    if kind == "control":
-        # predicated pass-through: forward the value when the predicate holds
-        return b if a else 0
-    if kind in ("splitjoin", "sink"):
-        return a
-    raise ExecError("bad-kind", f"cannot evaluate kind '{kind}'")
+        return wrap64(f(int(a), int(b)))
+    return op
+
+
+def _fdiv(a, b, memory):
+    if float(b) == 0.0:
+        raise ExecError("fdiv-zero", "float division by zero")
+    return float(a) / float(b)
+
+
+def _load(a, b, memory):
+    if a not in memory:
+        raise ExecError("bad-address", f"load from unmapped address {a}")
+    return memory[a]
+
+
+def _store(a, b, memory):
+    memory[a] = b
+    return b
+
+
+# kind -> op(a, b, memory) for the interpreter and the simulator (b is None for
+# a one-input kind; a const has no op); add, sub and mul wrap only off int64
+OPS = {
+    "add": _add,
+    "sub": _sub,
+    "mul": _mul,
+    "cmp": lambda a, b, memory: 1 if a < b else 0,
+    "and": _bitwise("and", lambda a, b: a & b),
+    "or": _bitwise("or", lambda a, b: a | b),
+    "shift": _bitwise("shift", lambda a, b: a << (b & 63)),
+    "fadd": lambda a, b, memory: float(a) + float(b),
+    "fmul": lambda a, b, memory: float(a) * float(b),
+    "fdiv": _fdiv,
+    "load": _load,
+    "store": _store,
+    # predicated pass-through: forward the value when the predicate holds
+    "control": lambda a, b, memory: b if a else 0,
+    "splitjoin": lambda a, b, memory: a,
+    "sink": lambda a, b, memory: a,
+}
+
+
+def eval_op(kind: str, a, b, memory: dict):
+    """Evaluate one operation through ``OPS``."""
+    op = OPS.get(kind)
+    if op is None:
+        raise ExecError("bad-kind", f"cannot evaluate kind '{kind}'")
+    return op(a, b, memory)
 
 
 def reference_execute(g: DataflowGraph, n_threads: int, params=None) -> list[dict[int, object]]:
@@ -525,7 +580,7 @@ def reference_execute(g: DataflowGraph, n_threads: int, params=None) -> list[dic
                     ins.append(feeder.value_for(t))
             a = ins[0] if ins else None
             b = ins[1] if len(ins) > 1 else None
-            vals[nid] = eval_op(nd.kind, a, b, memory)
+            vals[nid] = OPS[nd.kind](a, b, memory)
         history.append(vals)
         results.append({nid: vals[nid] for nid in g.live_out})
     return results

@@ -62,9 +62,12 @@ periods, m as large as keeps every const issue, live-in and retag below
 its thread limit (so no retag is dropped in a skipped period): fires,
 stalls, the cycle, the live-out count and the primary unit's issue cycles
 grow by m times the period's change.  This is exact because timing never
-reads a value.  The values come from replaying the period's fires,
-shifted, in fire order through ``eval_op`` and the same memory, so
-stores, loads and the first ExecError are those of a full run.  Detection
+reads a value.  The values come from replaying the period's operator
+fires, shifted, in fire order through each unit's ``ir.OPS`` op and the
+same memory, so stores, loads and the first ExecError are those of a full
+run; a const, which touches no memory and never raises, has its results
+filled by slice.  Results sit in one list per unit by thread id, and every
+64 periods a slice clears the ids nothing reads any more.  Detection
 then starts over, since a unit that stopped (a const done issuing) can
 leave the rest to repeat for longer; the normal kernel finishes the tail,
 deadlocks included.  A traced run never skips, so its trace lists every
@@ -80,7 +83,7 @@ from typing import NamedTuple
 
 from .analysis import LoopPattern, classify, find_deps
 from .grid import GridConfig, GridSpec
-from .ir import DataflowGraph, DfgError, Node, eval_op
+from .ir import OPS, DataflowGraph, DfgError, Node
 
 
 FAST_FORWARD_MIN_THREADS = 64  # untraced runs this long look for a periodic state
@@ -161,7 +164,7 @@ class SimInvariantError(AssertionError):
 
 
 class _Unit:
-    __slots__ = ("index", "node", "cell", "latency", "arity", "is_const", "is_load",
+    __slots__ = ("index", "node", "cell", "latency", "arity", "op", "is_const", "is_load",
                  "emits", "buffers", "reserved", "out_queue", "links", "feeders",
                  "carriers", "injectors", "sources", "liveout", "fires", "stalls", "since")
 
@@ -171,6 +174,7 @@ class _Unit:
         self.cell = cell
         self.latency = latency
         self.arity = node.n_inputs
+        self.op = OPS.get(node.kind)  # None on a const
         self.is_const = node.kind == "const"
         self.is_load = node.kind == "load"
         self.emits = node.kind != "sink"
@@ -466,7 +470,7 @@ class SimState:
                     u.since = None
                 tid = min(common)
                 ins = [b.pop(tid) for b in bufs]
-                value = eval_op(nd.kind, ins[0], ins[1] if u.arity == 2 else None, self.memory)
+                value = u.op(ins[0], ins[1] if u.arity == 2 else None, self.memory)
                 if u.is_load:
                     self.mem_outstanding += 1
                 if u is self._primary:
@@ -568,7 +572,8 @@ class SimState:
         no id at or above its fire count completes none, so while m <= (n -
         fires - diff) // k every thread-id test (const issue, retag drop,
         live-in limit) reads as in the recorded period: a drop there leaves
-        no m, so none happens in a skipped period."""
+        no m, so none happens in a skipped period.  Only operator fires are
+        replayed; const rows are filled by slice."""
         _, _, cycle0, fires0, stalls0, missing0, issues0 = saved
         n = self.params.n_threads
         units = self.units
@@ -596,8 +601,8 @@ class SimState:
                     raise SimInvariantError(f"node {u.node.id} shifts by {shift[u.index]}, "
                                             f"its producer {units[p].node.id} by {shift[p]}")
 
-        # values: replay the period's fires m times, shifted, in fire order
-        results = [{} for _ in units]  # unit index -> thread id -> result
+        # values: replay the period's operator fires m times, shifted, in order
+        results = [[None] * n for _ in units]  # unit index -> thread id -> result
         # unit index -> smallest id in flight as its result: after period j
         # every result still to be read has an id of at least low + j*k, since
         # what is in flight then is what is in flight now, shifted
@@ -632,32 +637,35 @@ class SimState:
                 keep(u.index, t, value)
                 if u.liveout is not None:
                     u.liveout[t] = value
-        # per fire: thread id and shift, result table, kind, const value, each
-        # operand's (producer results or None, diff, livein or None), live-out
-        plan = []
-        for i, t in fires:
-            u = units[i]
-            (pa, da, la), (pb, db, lb) = u.sources + [(None, 0, None)] * (2 - u.arity)
-            plan.append((t, shift[i], results[i], u.node.kind, u.node.value, u.arity,
-                         None if pa is None else results[pa], da, la,
-                         None if pb is None else results[pb], db, lb, u.liveout))
+        # a const touches no memory and never raises: its row and live-out are
+        # filled for the whole skipped range instead of replayed
+        for u, k in zip(units, shift):
+            if u.is_const and k:
+                top = u.fires + m * k
+                results[u.index][u.fires:top] = [u.node.value] * (m * k)
+                if u.liveout is not None:
+                    u.liveout.update(dict.fromkeys(range(u.fires, top), u.node.value))
+        # per operator fire: thread id and shift, result row, op, each operand's
+        # (producer row or None, diff, livein or None), live-out; a one-input
+        # op reads its b from a row of None
+        nones = [None] * n
+        ins = [[(None if p is None else results[p], d, lv) for p, d, lv in u.sources]
+               + [(nones, 0, None)] * (2 - u.arity) for u in units]
+        plan = [(t, shift[i], results[i], units[i].op, *ins[i][0], *ins[i][1], units[i].liveout)
+                for i, t in fires if not units[i].is_const]
         memory = self.memory
         for j in range(1, m + 1):
-            for t, k, res, kind, value, arity, ra, da, la, rb, db, lb, out in plan:
+            for t, k, res, op, ra, da, la, rb, db, lb, out in plan:
                 t += j * k
-                if arity:
-                    a = ra[t - da] if ra is not None and t >= da else la.value_for(t)
-                    b = None
-                    if arity == 2:
-                        b = rb[t - db] if rb is not None and t >= db else lb.value_for(t)
-                    value = eval_op(kind, a, b, memory)
-                res[t] = value
+                res[t] = value = op(ra[t - da] if ra is not None and t >= da else la.value_for(t),
+                                    rb[t - db] if rb is not None and t >= db else lb.value_for(t),
+                                    memory)
                 if out is not None:
                     out[t] = value
             if j % 64 == 0:  # drop the results nothing can read any more
                 for res, lo, k in zip(results, low, shift):
-                    for t in range(lo + (j - 64) * k, lo + j * k):
-                        res.pop(t, None)
+                    start, stop = max(lo + (j - 64) * k, 0), max(lo + j * k, 0)
+                    res[start:stop] = nones[start:stop]
 
         # the state m periods on: ids shifted by m*k, times by m*period
         D = m * period

@@ -14,6 +14,7 @@ from loopgrid.bench import (
     sweep,
     weighted_speedup,
 )
+from loopgrid.ir import DfgError
 
 
 def test_default_thread_set():
@@ -95,3 +96,10 @@ def test_suite_uniform_fallback_without_weights(fixtures, tmp_path):
     s = suite(str(tmp_path), threads=(8,))
     assert s.uniform_weights_warning
     assert s.weights == {"scenario1": 0.5, "scenario2": 0.5}
+
+
+def test_sweep_raises_the_typed_error(data_dir):
+    # a bad graph in an experiment raises the documented error, not a wrapper
+    with pytest.raises(DfgError) as exc:
+        sweep(Experiment(dfg=str(data_dir / "intra_cycle.dfg"), threads=(8, 32)))
+    assert exc.value.code == "intra-cycle"

@@ -128,6 +128,25 @@ def test_intra_cycle_exits_nonzero(data_dir, cmd):
     assert proc.stderr.startswith("error: intra-cycle")
 
 
+@pytest.mark.parametrize("cmd", [["map"], ["sim", "--mode", "dr", "--threads", "8"],
+                                 ["sim", "--mode", "baseline", "--threads", "8"]],
+                         ids=["map", "sim-dr", "sim-baseline"])
+def test_memory_carried_exits_nonzero(data_dir, cmd):
+    proc = subprocess.run(CLI + cmd + [str(data_dir / "memory_carried.dfg")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: memory-carried")
+
+
+def test_sweep_keeps_the_error_code(data_dir, tmp_path):
+    exp = tmp_path / "exp.json"
+    exp.write_text(json.dumps({"dfg": str(data_dir / "intra_cycle.dfg"), "threads": [8]}))
+    proc = subprocess.run(CLI + ["sweep", "--exp", str(exp), "--out", str(tmp_path / "c.csv")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: intra-cycle")
+
+
 def test_livein_on_fed_slot_exits_nonzero(tmp_path):
     # the simulator never validates, so the parser must refuse the second feeder
     path = tmp_path / "g.dfg"

@@ -209,3 +209,18 @@ def test_map_rejects_intra_cycle(data_dir):
     with pytest.raises(DfgError) as exc:
         map_graph(load_dfg(str(data_dir / "intra_cycle.dfg")))
     assert exc.value.code == "intra-cycle"
+
+
+def test_map_refuses_memory_carried_graph(data_dir):
+    with pytest.raises(MapError) as exc:
+        map_graph(load_dfg(str(data_dir / "memory_carried.dfg")))
+    assert exc.value.code == "memory-carried"
+
+
+@pytest.mark.parametrize("mode", ["baseline", "dr"])
+def test_disjoint_load_and_store_map_and_match_reference(data_dir, mode):
+    # the same body storing to 100 instead: no thread reads another's store
+    text = (data_dir / "memory_carried.dfg").read_text()
+    g = parse_dfg(text.replace("edge 0 4 0", "node 5 const 100\nedge 5 4 0"))
+    rep = simulate(map_graph(g), g, MachineParams(mode=mode, n_threads=8))
+    assert rep.live_out == reference_execute(g, 8) == [{3: 1}] * 8

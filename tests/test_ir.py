@@ -4,11 +4,12 @@ import itertools
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from loopgrid.ir import (
     DfgError,
     ExecError,
+    KIND_INFO,
     LiveIn,
     eval_op,
     format_dfg,
@@ -21,6 +22,7 @@ from loopgrid.ir import (
     wrap64,
 )
 
+import _eval_oracle
 from _random_graphs import random_dfg
 
 
@@ -73,6 +75,29 @@ def test_all_fixtures_validate_clean(fixtures):
         g = load_dfg(str(path))
         errors = [v for v in validate(g) if v.severity == "error"]
         assert errors == [], f"{path.name}: {errors}"
+
+
+def test_validate_refuses_memory_carried_graph(data_dir):
+    g = load_dfg(str(data_dir / "memory_carried.dfg"))
+    assert [(v.code, v.message) for v in validate(g)] == [
+        ("memory-carried", "load 1 and store 4 can both use address 0")]
+    assert reference_execute(g, 8) == [{3: t} for t in range(1, 9)]
+
+
+LOAD_STORE = "node 0 load\nnode 1 store\nedge 0 1 1\nliveout 1\nmem 0 1\nmem 5 2\n"
+
+
+@pytest.mark.parametrize("feeds, refused", [
+    ("node 2 const 0\nedge 2 0 0\nnode 3 const 100\nedge 3 1 0", False),
+    ("node 2 const 0\nedge 2 0 0\nnode 3 const 0.0\nedge 3 1 0", True),  # 0 == 0.0
+    ("livein a 0 0 0 5\nnode 2 const 5\nedge 2 1 0", True),
+    ("livein a 0 0 0 5\nlivein b 1 0 7", False),
+    # an address another op computes is unknown and not refused
+    ("livein a 0 0 0\nnode 2 const 0\nnode 3 add\nedge 2 3 0\nedge 2 3 1\nedge 3 1 0", False),
+], ids=["disjoint", "int-float", "livein-const", "liveins", "computed"])
+def test_memory_carried_reads_const_and_livein_addresses(feeds, refused):
+    g = parse_dfg(LOAD_STORE + feeds)
+    assert ("memory-carried" in {v.code for v in validate(g)}) is refused
 
 
 @pytest.mark.parametrize(
@@ -254,6 +279,47 @@ def test_eval_op_memory():
     assert mem[9] == 3
     with pytest.raises(Exception):
         eval_op("load", 5, None, mem)
+
+
+I64 = 2**63
+EDGE_INTS = [0, 1, -1, 2, 63, 64, I64 - 2, I64 - 1, I64, I64 + 1, -I64 - 1, -I64, -I64 + 1, 2**32]
+OPERANDS = st.one_of(
+    st.sampled_from(EDGE_INTS),
+    st.integers(min_value=-I64 - 8, max_value=-I64 + 8),
+    st.integers(min_value=I64 - 8, max_value=I64 + 8),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.booleans(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), 0.0, -0.0, 0.5, 9.2e18]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+def op_outcome(evaluate, kind, a, b, memory):
+    """The value (as repr, so nan equals nan and 1 differs from True) and the
+    memory after, or the raised error's type, code and message."""
+    try:
+        value = evaluate(kind, a, b, memory)
+    except Exception as exc:  # every error must match, typed or not
+        return ("raise", type(exc).__name__, getattr(exc, "code", None), str(exc))
+    return ("ok", repr(value), repr(memory))
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.sampled_from(sorted(KIND_INFO) + ["bogus"]), OPERANDS, OPERANDS,
+       st.dictionaries(st.sampled_from(EDGE_INTS[:5] + [0.5]), OPERANDS, max_size=3))
+# results one past each end of the int64 range, and the ends themselves
+@example("add", I64 - 1, 1, {})
+@example("add", I64 - 2, 1, {})
+@example("sub", -I64, 1, {})
+@example("sub", -I64 + 1, 1, {})
+@example("mul", 2**62, 2, {})
+@example("mul", -(2**62), 2, {})
+def test_op_table_matches_the_old_if_chain(kind, a, b, memory):
+    # a one-input kind gets None as b, as the interpreter and simulator pass it
+    if kind in KIND_INFO and KIND_INFO[kind][0] == 1:
+        b = None
+    want = op_outcome(_eval_oracle.eval_op, kind, a, b, dict(memory))
+    assert op_outcome(eval_op, kind, a, b, dict(memory)) == want
 
 
 # ---------------------------------------------------------------- reference runs

@@ -282,6 +282,69 @@ def test_fast_forward_keeps_results_a_seeded_slot_will_read(mode):
     assert sim.simulate(cfg, g, params).to_json() == want
 
 
+# a fast-forward fills a const's results for the whole skipped range instead
+# of replaying its fires; each graph reads those results another way
+CONST_READERS = {
+    "const-live-out": """
+node 0 const 7
+node 1 const 1
+node 2 add
+edge 1 2 0
+back 2 2 1 1
+livein x 2 1 0
+liveout 0
+liveout 2
+""",
+    "const-in-both-slots": """
+node 0 const 3
+node 1 mul
+edge 0 1 0
+edge 0 1 1
+node 2 add
+edge 1 2 0
+back 2 2 1 1
+livein x 2 1 0
+liveout 2
+""",
+    "const-beside-seeded-back-edge": """
+node 0 const 2
+node 1 sub
+edge 0 1 0
+node 2 mul
+edge 1 2 0
+edge 0 2 1
+back 2 1 1 2
+livein s 1 1 5 -4
+liveout 1
+liveout 2
+""",
+}
+
+
+@pytest.mark.parametrize("mode", ["baseline", "dr"])
+@pytest.mark.parametrize("name", CONST_READERS)
+def test_fast_forward_fills_const_results(monkeypatch, name, mode):
+    g = parse_dfg(CONST_READERS[name])
+    cfg = map_graph(g)
+    steps = 0
+    step = sim.SimState.step
+
+    def counted(self):
+        nonlocal steps
+        steps += 1
+        step(self)
+
+    for n in (512, 4096):
+        params = MachineParams(mode=mode, n_threads=n)
+        want = outcome(oracle.simulate, cfg, g, params, False)[0]
+        monkeypatch.setattr(sim.SimState, "step", counted)
+        steps = 0
+        got = outcome(sim.simulate, cfg, g, params, False)[0]
+        assert steps < 1_000, n
+        monkeypatch.undo()
+        assert got == want == outcome(sim.simulate, cfg, g, params, True)[0], n
+
+
 def test_deadlock_cycle_and_trace_match_oracle():
     g = parse_dfg("node 0 const 1\nnode 1 add\nedge 0 1 0\nback 1 1 1 1\nliveout 1")
     cfg = map_graph(g)
