@@ -9,11 +9,18 @@ along the cycle, which is conservative and independent of enumeration
 order.  Run time is proxied by dynamic instruction counts throughout, and
 block execution counts are derived from edge counts (max of in/out
 traversals) so streaming and aggregated inputs agree exactly.
+
+Routes are found in report order, so the work follows the routes kept,
+not all the routes a routine has.  One strongly-connected-component pass
+drops the edges that join two components, which close no cycle.  The
+remaining edges are added in descending count order, and each added edge
+closes the cycles whose bottleneck it is.  The search stops after the
+first count level at which more routes are found than the cap keeps.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 DEFAULT_MAX_LEN = 32
@@ -34,16 +41,19 @@ class RoutineGraph:
     instr_counts: dict[int, int] = field(default_factory=dict)  # bb -> instrs per execution
     edge_counts: dict[tuple[int, int], int] = field(default_factory=dict)
 
-    def _exec_counts(self) -> Counter:
-        """Block -> executions: the larger of its in and out traversals (Counter union)."""
-        ins, outs = Counter(), Counter()
+    def _exec_counts(self) -> dict[int, int]:
+        """Block -> executions: the larger of its in and out traversals."""
+        ins, outs = {}, {}
         for (s, d), c in self.edge_counts.items():
-            outs[s] += c
-            ins[d] += c
-        return ins | outs
+            outs[s] = outs.get(s, 0) + c
+            ins[d] = ins.get(d, 0) + c
+        for bb, c in outs.items():
+            if c > ins.get(bb, 0):
+                ins[bb] = c
+        return ins
 
     def exec_count(self, bb: int) -> int:
-        return self._exec_counts()[bb]
+        return self._exec_counts().get(bb, 0)
 
     def total_instructions(self) -> int:
         return sum(n * self.instr_counts.get(bb, 1) for bb, n in self._exec_counts().items())
@@ -150,47 +160,95 @@ class LoopRoute:
     instructions_per_iteration: int
 
 
-def _circuits(edge_counts: dict[tuple[int, int], int], max_len: int):
-    """Simple cycles of at most max_len blocks, as ``(-iterations, blocks)``.
-    Each is rooted at its smallest block and extended only through larger
-    ones, so it is found once and already in canonical rotation; a block is
-    entered only if its hop distance back to the root still fits in the
-    bound.  The search carries the smallest edge count along the current
-    path down its stack, so a cycle's bottleneck comes with it."""
-    succ, pred = defaultdict(list), defaultdict(list)
-    for (s, d), c in edge_counts.items():
-        succ[s].append((d, c))
-        pred[d].append(s)
-    for root in sorted(succ):
-        dist = {root: 0}  # reverse BFS over the blocks larger than root
-        queue = [root]
-        for v in queue:
-            for p in pred[v]:
-                if p > root and p not in dist:
-                    dist[p] = dist[v] + 1
-                    queue.append(p)
-        path, stack, low = [root], [iter(succ[root])], [float("inf")]
-        while stack:
-            for nxt, c in stack[-1]:
-                if nxt == root and len(path) <= max_len:
-                    yield -min(low[-1], c), tuple(path)
-                elif nxt in dist and nxt not in path and len(path) + dist[nxt] <= max_len:
-                    path.append(nxt)
-                    stack.append(iter(succ[nxt]))
-                    low.append(min(low[-1], c))
+def _scc_ids(edge_counts: dict[tuple[int, int], int]) -> dict[int, int]:
+    """Block -> id of its strongly connected component (iterative Tarjan)."""
+    succ = defaultdict(list)
+    for s, d in edge_counts:
+        succ[s].append(d)
+    index, low, comp, stack = {}, {}, {}, []
+    for root in succ:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                i = index.get(w)
+                if i is None:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    work.append((w, iter(succ.get(w, ()))))
                     break
+                if i < low[v] and w not in comp:  # not yet in a component: on the stack
+                    low[v] = i
             else:
-                stack.pop()
-                path.pop()
-                low.pop()
+                work.pop()
+                lv = low[v]
+                if lv == index[v]:
+                    while True:
+                        w = stack.pop()
+                        comp[w] = v
+                        if w == v:
+                            break
+                elif lv < low[work[-1][0]]:
+                    low[work[-1][0]] = lv
+    return comp
 
 
 def enumerate_loops(g: RoutineGraph, max_len: int = DEFAULT_MAX_LEN,
                     max_routes: int = DEFAULT_MAX_ROUTES) -> tuple[list[LoopRoute], bool]:
-    """All simple cycles up to max_len blocks, ordered by descending
-    iteration count then block sequence; returns (routes, truncated).
-    Only the routes kept get a ``LoopRoute`` and an instruction sum."""
-    found = sorted(_circuits(g.edge_counts, max_len))
+    """Simple cycles of at most max_len blocks, ordered by descending
+    iteration count then block sequence, cut to the first max_routes;
+    returns (routes, truncated).  A negative max_len gives no routes; a
+    negative max_routes raises ``ValueError``.
+
+    Edges that join two strongly connected components close no cycle and
+    are dropped.  The rest are added to a growing graph in descending count
+    order.  An added edge u->v closes exactly the cycles made of it and a
+    simple path v->...->u over the edges added before it (a self-loop closes
+    ``(u,)``), so each cycle is found once, at its bottleneck edge, whose
+    count is its iteration count.  The search stops after the first count
+    level at which more than max_routes cycles have been found: every cycle
+    not yet found iterates less, and the whole tied level is in hand, so
+    the kept routes and the ``truncated`` flag are exact.  Only the routes
+    kept get a ``LoopRoute`` and an instruction sum."""
+    if max_routes < 0:
+        raise ValueError(f"max_routes must be >= 0, got {max_routes}")
+    comp = _scc_ids(g.edge_counts)
+    edges = sorted(((c, s, d) for (s, d), c in g.edge_counts.items() if comp[s] == comp[d]),
+                   reverse=True)
+    succ = defaultdict(list)  # the edges added so far, self-loops left out
+    found = []
+    level = None
+    for c, u, v in edges:
+        if c != level:
+            if len(found) > max_routes:
+                break
+            level = c
+        if u == v:
+            if max_len >= 1:
+                found.append((-c, (u,)))
+            continue
+        if max_len >= 2:
+            # every simple path v->...->u of at most max_len - 1 blocks
+            path, stack = [v], [iter(succ[v])]
+            while stack:
+                for w in stack[-1]:
+                    if w == u:
+                        cyc = (u, *path)
+                        i = cyc.index(min(cyc))
+                        found.append((-c, cyc[i:] + cyc[:i]))
+                    elif len(path) + 1 < max_len and w not in path:
+                        path.append(w)
+                        stack.append(iter(succ[w]))
+                        break
+                else:
+                    stack.pop()
+                    path.pop()
+        succ[u].append(v)
+    found.sort()
     instrs = g.instr_counts
     routes = [LoopRoute(seq, -neg, sum(instrs.get(bb, 1) for bb in seq))
               for neg, seq in found[:max_routes]]

@@ -285,6 +285,87 @@ def test_weighted_routes_match_brute_force(edges, instrs, max_len, max_routes):
     assert truncated == (len(expect) > max_routes)
 
 
+
+def expected_routes(edges, instrs, max_len):
+    """Every route of at most max_len blocks by brute force, in report order."""
+    return sorted(
+        (LoopRoute(c, min(edges[e] for e in zip(c, c[1:] + c[:1])),
+                   sum(instrs.get(bb, 1) for bb in c))
+         for c in brute_force_cycles(edges, max_len)),
+        key=lambda r: (-r.iterations, r.blocks))
+
+
+@st.composite
+def joined_components(draw):
+    """Edge counts over blocks split into groups, with edges inside each
+    group and edges from a group only to later ones, so no cycle crosses a
+    group.  Counts come from a small set, so whole levels tie, and block
+    ids are shuffled across groups."""
+    sizes = draw(st.lists(st.integers(1, 5), min_size=2, max_size=4))
+    ids = draw(st.permutations(range(sum(sizes))))
+    groups, at = [], 0
+    for n in sizes:
+        groups.append(ids[at:at + n])
+        at += n
+    count = st.sampled_from([1, 2, 2, 3, 3, 3])
+    edges = {}
+    for gi, grp in enumerate(groups):
+        inner = [(a, b) for a in grp for b in grp]
+        for e in draw(st.lists(st.sampled_from(inner), max_size=3 * len(grp))):
+            edges[e] = draw(count)
+        later = [b for grp2 in groups[gi + 1:] for b in grp2]
+        if later:
+            for e in draw(st.lists(st.tuples(st.sampled_from(grp), st.sampled_from(later)),
+                                   max_size=3)):
+                edges[e] = draw(count)
+    return edges
+
+
+@settings(max_examples=200, deadline=None)
+@given(joined_components(), st.dictionaries(st.integers(0, 19), st.integers(1, 9)),
+       st.integers(-1, 6), st.data())
+def test_routes_across_components_match_brute_force(edges, instrs, max_len, data):
+    # max_routes sits at 0 or next to the number of routes at or above a
+    # count level, where the search may stop
+    g = RoutineGraph("f", instr_counts=instrs, edge_counts=edges)
+    expect = expected_routes(edges, instrs, max_len)
+    levels = sorted({r.iterations for r in expect})
+    max_routes = 0
+    if levels and data.draw(st.booleans()):
+        level = data.draw(st.sampled_from(levels))
+        at_or_above = sum(r.iterations >= level for r in expect)
+        max_routes = max(0, at_or_above + data.draw(st.sampled_from([-1, 0, 1])))
+    routes, truncated = enumerate_loops(g, max_len=max_len, max_routes=max_routes)
+    assert routes == expect[:max_routes]
+    assert truncated == (len(expect) > max_routes)
+
+
+def test_route_cap_on_a_complete_digraph():
+    # 10 blocks, every ordered pair and every self-loop: 1,112,073 simple
+    # cycles.  Distinct counts make each edge its own level, so only the
+    # edges at or above the 16th route's bottleneck can hold a kept route.
+    rng = random.Random(11)
+    pairs = [(a, b) for a in range(10) for b in range(10)]
+    edges = dict(zip(pairs, rng.sample(range(1, 10_001), len(pairs))))
+    instrs = {bb: rng.randint(1, 9) for bb in range(10)}
+    g = RoutineGraph("f", instr_counts=instrs, edge_counts=edges)
+    routes, truncated = enumerate_loops(g, max_routes=16)
+    assert truncated and len(routes) == 16
+    top = {e: c for e, c in edges.items() if c >= routes[-1].iterations}
+    assert routes == expected_routes(top, instrs, DEFAULT_MAX_LEN)[:16]
+
+
+def test_negative_route_cap_is_refused():
+    g = RoutineGraph("f", edge_counts={(0, 0): 3, (1, 1): 2, (2, 2): 1})
+    with pytest.raises(ValueError):
+        enumerate_loops(g, max_routes=-1)
+    with pytest.raises(ValueError):
+        prevalence_report({"f": g}, max_routes=-1)
+    assert enumerate_loops(g, max_len=-1) == ([], False)
+    routes, truncated = enumerate_loops(g, max_routes=3)
+    assert [r.blocks for r in routes] == [(0,), (1,), (2,)] and not truncated
+
+
 # ---------------------------------------------------------------- prevalence
 
 def test_loop_fraction_from_fixture(fixtures):
