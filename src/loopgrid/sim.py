@@ -1,9 +1,9 @@
 """Deterministic cycle-level simulation of a mapped loop graph.
 
 Execution follows the tagged-token discipline: every value travels as a
-(thread id, value) token, a unit fires as soon as all of its input slots
-hold tokens with one common thread id (smallest id first), and results flow
-along the static routes.  Loop-carried values cross iterations in one of
+(thread id, value) token, a unit fires its threads in order, each as soon as
+all of its input slots hold that thread's token, and results flow along the
+static routes.  Loop-carried values cross iterations in one of
 two ways depending on the mode:
 
 * ``dr``   -- the producing unit's result is retagged (+diff) one cycle
@@ -16,7 +16,11 @@ two ways depending on the mode:
   until it arrives.
 
 A dependent slot's live-in injector stops at ``diff`` (its selector serves
-later threads the carried value), so ``selector_drops`` is always 0.
+later threads the carried value), so ``selector_drops`` is always 0.  Like
+the selector, the slot serves its seeds first: a carried token that arrives
+while seeds are still to be injected is held back, and the held tokens enter
+in thread order once the last seed is in.  So every slot receives its
+threads in order, and a unit's next thread is always its fire count.
 
 Each cycle runs five phases in order: arrivals enter buffers, completions
 queue results and schedule carried copies, units emit held results (node
@@ -50,9 +54,10 @@ it stands in thread space, and a run in steady state repeats its state
 exactly up to a shift of thread ids.  An untraced run of at least
 ``FAST_FORWARD_MIN_THREADS`` threads watches for that repeat with Brent's
 cycle detection for at most ``FAST_FORWARD_MAX_STEPS`` steps.  The
-signature counts every thread id from a fire count: the ids a unit holds,
-injects or completes from its own, the ids in an arrival from the
-receiving unit's.  It also holds event times relative to the cycle, which
+signature counts every thread id from a fire count: the ids a unit injects
+or completes from its own, the ids in an arrival from the receiving unit's;
+a buffer or a held result queue, always a run of consecutive ids, by its
+length.  It also holds event times relative to the cycle, which
 units are mid-stall, the load count and the units to visit next; it holds
 no token value.  A repeat after P cycles moves each unit by k, its own
 fire-count change.  Every token in flight repeats, so a producer moves as
@@ -190,7 +195,7 @@ class _Unit:
         # per slot: (producer index or None, diff (0 on an intra edge), livein or None)
         self.sources = [(None, 0, None)] * self.arity
         self.liveout = None  # thread id -> value, on a live-out unit
-        self.fires = 0  # a const issues thread ``fires`` next
+        self.fires = 0  # the unit fires thread ``fires`` next
         self.stalls = 0  # stall cycles credited so far
         self.since = None  # first cycle of the current uncredited stall run
 
@@ -271,15 +276,16 @@ class SimState:
                     raise DfgError("missing-livein", f"back edge into slot {slot} of node "
                                    f"{u.node.id} has no livein and feeds no live-out")
 
-        # live-in injectors: [unit index, slot, livein, next tid, tid limit]; on a
-        # dependent slot only threads below diff take a live-in value
+        # live-in injectors: [unit index, slot, livein, next tid, tid limit, held
+        # carried tokens by thread id]; on a dependent slot only threads below
+        # diff take a live-in value
         dep_diff = {(e.dst, e.slot): e.diff for e in dfg.back_edges()}
         self._inject = []
         for lv in dfg.live_in.values():
             if not lv.values:
                 raise DfgError("livein-length", f"livein '{lv.name}' has no values")
             limit = min(dep_diff.get((lv.node, lv.slot), params.n_threads), params.n_threads)
-            inj = [by_id[lv.node].index, lv.slot, lv, 0, limit]
+            inj = [by_id[lv.node].index, lv.slot, lv, 0, limit, {}]
             by_id[lv.node].injectors.append(inj)
             self._inject.append(inj)
 
@@ -372,6 +378,12 @@ class SimState:
                 u = units[i]
                 if routed:
                     u.reserved[slot] -= 1
+                elif u.injectors:
+                    # a carried token waits until its slot's seeds are all in
+                    held = next((inj[5] for inj in u.injectors if inj[1] == slot), None)
+                    if held is not None:
+                        held[tid] = value
+                        continue
                 self._put(u, slot, tid, value)
                 wake.add(i)
 
@@ -434,32 +446,25 @@ class SimState:
                             arrivals.setdefault(c + lat, []).append((d, s, tid, value, True))
 
         # 4. firing, in node order, of the woken units; every other unit would
-        #    repeat its last outcome.  Lowest matching thread id first; a unit
-        #    with buffered tokens stalls while it holds an unemitted result,
-        #    while no thread id is in every slot, or while loads are at the
-        #    outstanding cap.  Its stall run is credited when it next fires or
-        #    in report().
+        #    repeat its last outcome.  A unit fires thread ``fires``, the next
+        #    in thread order; one with buffered tokens stalls while it holds an
+        #    unemitted result, while some slot lacks that thread, or while
+        #    loads are at the outstanding cap.  Its stall run is credited when
+        #    it next fires or in report().
         self._wake = woken = set()
         for i in sorted(wake):
             u = units[i]
-            nd = u.node
+            tid = u.fires
             if u.is_const:
-                if u.fires >= n or u.out_queue:
+                if tid >= n or u.out_queue:
                     continue
-                tid = u.fires
-                value = nd.value
+                value = u.node.value
             else:
                 bufs = u.buffers
                 if not any(bufs):
                     continue
-                if u.out_queue or (u.is_load and mem_cap is not None
-                                   and self.mem_outstanding >= mem_cap):
-                    common = None
-                elif u.arity == 1:
-                    common = bufs[0]
-                else:
-                    common = set(bufs[0]).intersection(*bufs[1:])
-                if not common:
+                if u.out_queue or not all(tid in b for b in bufs) or (
+                        u.is_load and mem_cap is not None and self.mem_outstanding >= mem_cap):
                     if u.since is None:
                         u.since = c
                     if trace is not None:
@@ -468,7 +473,6 @@ class SimState:
                 if u.since is not None:
                     u.stalls += c - u.since
                     u.since = None
-                tid = min(common)
                 ins = [b.pop(tid) for b in bufs]
                 value = u.op(ins[0], ins[1] if u.arity == 2 else None, self.memory)
                 if u.is_load:
@@ -492,7 +496,7 @@ class SimState:
         # 5. live-in injection, in thread order, while there is room
         if inject:
             for inj in inject:
-                i, slot, lv, tid, limit = inj
+                i, slot, lv, tid, limit, held = inj
                 u = units[i]
                 buf = u.buffers[slot]
                 while tid < limit and len(buf) + u.reserved[slot] < depth:
@@ -504,6 +508,8 @@ class SimState:
                     inj[3] = tid
                     if tid == limit:
                         u.injectors.remove(inj)
+                        for t, value in held.items():  # the carried tokens held back
+                            self._put(u, slot, t, value)
             inject.clear()
 
         if not (progress or arrivals or completions or self.done()):
@@ -522,12 +528,12 @@ class SimState:
     def _signature(self):
         """The state as far as timing reads it, less what ``_watch`` keys on:
         every thread id counted from a fire count (the unit's own for what it
-        holds, injects or completes, the receiving unit's for an arrival),
-        event times relative to the cycle, no values."""
+        injects or completes, the receiving unit's for an arrival), a buffer
+        or out-queue, always a run of consecutive ids, by its length, event
+        times relative to the cycle, no values."""
         c = self.cycle
         units = self.units
-        state = [([sorted(t - u.fires for t in buf) for buf in u.buffers], tuple(u.reserved),
-                  [t - u.fires for t, _ in u.out_queue],
+        state = [(list(map(len, u.buffers)), tuple(u.reserved), len(u.out_queue),
                   [(inj[1], inj[3] - u.fires) for inj in u.injectors], u.since is None)
                  for u in units]
         state.append([(a - c, [(i, s, t - units[i].fires, r) for i, s, t, _, r in es])
@@ -568,17 +574,18 @@ class SimState:
 
     def _skip(self, saved) -> bool:
         """Jump m whole periods past the repeat of checkpoint ``saved``, each
-        unit's ids moving by k, its fire count's change.  A unit that fired
-        no id at or above its fire count completes none, so while m <= (n -
-        fires - diff) // k every thread-id test (const issue, retag drop,
-        live-in limit) reads as in the recorded period: a drop there leaves
-        no m, so none happens in a skipped period.  Only operator fires are
-        replayed; const rows are filled by slice."""
+        unit's ids moving by k, its fire count's change.  A unit fires in
+        thread order, so it completes no id at or above its fire count, and
+        while m <= (n - fires - diff) // k every thread-id test (const issue,
+        retag drop, live-in limit) reads as in the recorded period: a drop
+        there leaves no m, so none happens in a skipped period.  Nothing is
+        skipped while a seeding slot holds back carried tokens.  Only
+        operator fires are replayed; const rows are filled by slice."""
         _, _, cycle0, fires0, stalls0, missing0, issues0 = saved
         n = self.params.n_threads
         units = self.units
         fires = self._log
-        if not fires or any(t >= units[i].fires for i, t in fires):
+        if not fires or any(inj[5] for u in units for inj in u.injectors):
             return False
         period = self.cycle - cycle0
         shift = [u.fires - f for u, f in zip(units, fires0)]  # unit index -> thread shift

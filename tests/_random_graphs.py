@@ -1,9 +1,10 @@
 """Seeded random dataflow graphs for equivalence and round-trip testing.
 
-Graphs stay small (<= 12 nodes, <= 2 back edges, diff <= 3) and keep memory
-usage conflict-free: loads only read image addresses that are never stored,
-stores only hit a disjoint scratch range.  That makes the sequential
-reference interpreter and the out-of-order simulator agree exactly.
+Graphs stay small (<= 12 nodes, <= 2 back edges, diff <= 3 unless a wider
+``max_diff`` is asked for) and keep memory usage conflict-free: loads only
+read image addresses that are never stored, stores only hit a disjoint
+scratch range.  That makes the sequential reference interpreter and the
+tagged-token simulator agree exactly.
 """
 
 import random
@@ -15,7 +16,10 @@ READ_ADDRS = (0, 1, 2, 3)
 SCRATCH_ADDRS = (100, 101, 102, 103)
 
 
-def random_dfg(seed: int) -> DataflowGraph:
+def random_dfg(seed: int, max_diff: int = 3) -> DataflowGraph:
+    """A seeded graph; a back edge's diff, and so its live-in seed count, is
+    drawn from 1..max_diff (above a buffer depth, seeding and carried tokens
+    contend for one slot)."""
     rng = random.Random(seed)
     g = DataflowGraph()
     g.memory_image = {a: rng.randint(-50, 50) for a in READ_ADDRS}
@@ -101,7 +105,7 @@ def random_dfg(seed: int) -> DataflowGraph:
         livein_n += 1
         if cands:
             p = rng.choice(cands)
-            diff = rng.randint(1, 3)
+            diff = rng.randint(1, max_diff)
             g.edges.append(Edge(p, c, slot, "back", diff))
             g.live_in[name] = LiveIn(
                 name, c, slot, tuple(rng.randint(-10, 10) for _ in range(diff)))

@@ -1,5 +1,8 @@
 """The cycle-by-cycle stepper the event-driven kernel in ``loopgrid.sim``
-replaced, kept verbatim as a differential oracle.
+replaced, kept as a differential oracle.  Its only edit since is the
+kernel's in-order rule: a carried token waits until its slot's live-in
+seeds are all in, and a unit fires thread ``fires`` once every slot holds
+it.
 
 Every call to ``SimState.step`` advances exactly one global cycle and walks
 every unit twice (emission, then firing), so it is slow but has no wake-up
@@ -73,13 +76,14 @@ class SimState:
         for e in dfg.intra_edges():
             self.out_links[e.src].append((e.dst, e.slot, config.routes[e.key()].latency))
 
-        # live-in injectors: (node, slot, livein, next tid, tid limit); on a
-        # dependent slot only threads below diff take a live-in value
+        # live-in injectors: (node, slot, livein, next tid, tid limit, held
+        # carried tokens); on a dependent slot only threads below diff take a
+        # live-in value
         dep_diff = {(e.dst, e.slot): e.diff for e in dfg.back_edges()}
         self.injectors = []
         for lv in dfg.live_in.values():
             limit = min(dep_diff.get((lv.node, lv.slot), params.n_threads), params.n_threads)
-            self.injectors.append([lv.node, lv.slot, lv, 0, limit])
+            self.injectors.append([lv.node, lv.slot, lv, 0, limit, {}])
 
         self.memory = dict(dfg.memory_image)
         self.mem_outstanding = 0
@@ -131,10 +135,15 @@ class SimState:
 
         # 1. tokens arriving this cycle enter their buffers
         for nid, slot, tid, value, source in self.arrivals.pop(c, ()):
+            progress = True
             if source == "route":
                 self.units[nid].reserved[slot] -= 1
+            held = next((inj[5] for inj in self.injectors
+                         if inj[:2] == [nid, slot] and inj[3] < inj[4]), None)
+            if source == "carry" and held is not None:
+                held[tid] = value  # until the slot's live-in seeds are all in
+                continue
             self._put(nid, slot, tid, value)
-            progress = True
 
         # 2. completions: results become emittable; loop-carried copies are
         #    retagged and scheduled (feedback or spill re-injection)
@@ -176,9 +185,9 @@ class SimState:
                         self.arrivals.setdefault(c + lat, []).append(
                             (dst, slot, tid, value, "route"))
 
-        # 4. firing: lowest matching thread id first; a unit with buffered
-        #    tokens stalls while it holds an unemitted result, while no thread
-        #    id is in every slot, or while loads are at the outstanding cap
+        # 4. firing: thread ``fires`` next; a unit with buffered tokens stalls
+        #    while it holds an unemitted result, while some slot lacks that
+        #    thread, or while loads are at the outstanding cap
         mem_cap = self.params.mem_max_outstanding
         for nid, unit in self.units.items():
             nd = unit.node
@@ -194,13 +203,13 @@ class SimState:
                 continue
             if not any(unit.buffers):
                 continue
-            common = not unit.out_queue and set(unit.buffers[0]).intersection(*unit.buffers[1:])
+            tid = unit.fires
+            common = not unit.out_queue and all(tid in b for b in unit.buffers)
             if not common or (nd.kind == "load" and mem_cap is not None
                               and self.mem_outstanding >= mem_cap):
                 unit.stalls += 1
                 self._emit_trace("stall", nid, -1, 0)
                 continue
-            tid = min(common)
             ins = [unit.buffers[s].pop(tid) for s in range(unit.arity)]
             b = ins[1] if unit.arity == 2 else None
             value = eval_op(nd.kind, ins[0], b, self.memory)
@@ -215,12 +224,15 @@ class SimState:
 
         # 5. live-in injection, in thread order, while there is room
         for inj in self.injectors:
-            nid, slot, lv, next_tid, limit = inj
+            nid, slot, lv, next_tid, limit, held = inj
             unit = self.units[nid]
             while next_tid < limit and self._room(unit, slot):
                 self._put(nid, slot, next_tid, lv.value_for(next_tid))
                 next_tid += 1
                 progress = True
+                if next_tid == limit:  # seeding done: the held tokens go in
+                    for t, value in held.items():
+                        self._put(nid, slot, t, value)
             inj[3] = next_tid
 
         if not (progress or self.arrivals or self.completions or self.done()):

@@ -45,11 +45,38 @@ def outcome(simulate, cfg, g, params, traced):
 
 
 def assert_same(cfg, g, params, label=None):
+    """Kernel == oracle; returns the common outcome and trace."""
     traced = params.n_threads <= TRACED_UP_TO
     want = outcome(oracle.simulate, cfg, g, params, traced)
     assert outcome(sim.simulate, cfg, g, params, traced) == want, label
     if traced:  # the untraced path visits fewer units; same report
         assert outcome(sim.simulate, cfg, g, params, False)[0] == want[0], label
+    return want
+
+
+def assert_reference(got, g, n):
+    """The outcome is the reference's live-outs, or its ExecError."""
+    try:
+        rows = reference_execute(g, n)
+    except ExecError as exc:
+        assert got == ("exec", exc.code, str(exc))
+        return
+    rows = [{str(k): v for k, v in row.items()} for row in rows]
+    assert isinstance(got, str), got
+    assert (json.dumps(json.loads(got)["live_out"], sort_keys=True)
+            == json.dumps(rows, sort_keys=True))
+
+
+def assert_fires_in_order(trace):
+    """Every unit fires threads 0, 1, 2, ... in that order."""
+    fired = {}
+    for line in trace.splitlines():
+        _, unit, event, thread, _ = line.split()
+        if event == "event=fire":
+            fired.setdefault(unit, []).append(int(thread.removeprefix("thread=")))
+    assert fired
+    for unit, tids in fired.items():
+        assert tids == list(range(len(tids))), unit
 
 
 def fixture_graphs(fixtures):
@@ -137,6 +164,82 @@ def test_long_random_runs_match_oracle(seed, mode, n, cap, depth, hop):
     params = MachineParams(mode=mode, n_threads=n, mem_max_outstanding=cap,
                            mem_latency=2 + seed % 19, spill_latency=seed % 9)
     assert_same(map_graph(g, spec), g, params)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000),
+       st.sampled_from(["baseline", "dr"]),
+       st.integers(min_value=8, max_value=200),
+       st.sampled_from([1, 2, 3, 16]))
+def test_wide_diff_graphs_match_oracle_and_reference(seed, mode, n, depth):
+    # a back edge whose diff exceeds the buffer depth: the slot's seeds and
+    # the carried tokens of later threads contend for its room
+    g = random_dfg(seed, max_diff=12)
+    spec = default_grid()
+    spec.token_buffer_depth = depth
+    got, trace = assert_same(map_graph(g, spec), g, MachineParams(mode=mode, n_threads=n))
+    assert_reference(got, g, n)
+    if trace is not None:
+        assert_fires_in_order(trace)
+
+
+# a back edge of diff 6 into a depth-1 slot: a carried token that entered
+# ahead of the seeds deadlocked the first and fired the second out of order
+WIDE_DIFF_AT_DEPTH_1 = {
+    "deadlocked": "node 0 const 1; node 1 add; edge 0 1 0; back 1 1 1 6; "
+                  "livein a 1 1 0 0 0 0 0 0; liveout 1",
+    "out-of-order": "node 0 splitjoin; back 0 0 0 6; livein a 0 0 1 2 3 4 5 6; liveout 0",
+}
+
+
+@pytest.mark.parametrize("mode", ["baseline", "dr"])
+@pytest.mark.parametrize("name", WIDE_DIFF_AT_DEPTH_1)
+def test_carried_tokens_wait_for_the_seeds(name, mode):
+    g = parse_dfg(WIDE_DIFF_AT_DEPTH_1[name].replace("; ", "\n"))
+    spec = default_grid()
+    spec.token_buffer_depth = 1
+    cfg = map_graph(g, spec)
+    for n in (24, 512):
+        got, trace = assert_same(cfg, g, MachineParams(mode=mode, n_threads=n))
+        assert_reference(got, g, n)
+        if trace is not None:
+            assert_fires_in_order(trace)
+
+
+@pytest.mark.parametrize("max_diff", [3, 12])
+def test_buffers_hold_the_next_threads_in_order(monkeypatch, max_diff):
+    # the fast-forward's signature keeps only a buffer's and an out-queue's
+    # length: that needs every buffer to hold range(fires, fires + len) and
+    # the ids fired but not yet emitted to run up to the fire count
+    skips = 0
+    skip = sim.SimState._skip
+
+    def counted(self, saved):
+        nonlocal skips
+        done = skip(self, saved)
+        skips += done
+        return done
+
+    monkeypatch.setattr(sim.SimState, "_skip", counted)
+    for seed in range(40):
+        g = random_dfg(seed, max_diff)
+        spec = default_grid()
+        spec.token_buffer_depth = (1, 2, 16)[seed % 3]
+        params = MachineParams(mode=("dr", "baseline")[seed % 2], n_threads=96 + seed)
+        state = sim.SimState(map_graph(g, spec), g, params)
+        while not state.done():
+            state.step()
+            pending = {}
+            for es in state.completions.values():
+                for u, t, _ in es:
+                    pending.setdefault(u.index, []).append(t)
+            for u in state.units:
+                for buf in u.buffers:
+                    assert sorted(buf) == list(range(u.fires, u.fires + len(buf))), seed
+                unemitted = [t for t, _ in u.out_queue] + sorted(pending.get(u.index, ()))
+                if u.emits:
+                    assert unemitted == list(range(u.fires - len(unemitted), u.fires)), seed
+    assert skips
 
 
 NON_FINITE_LATE = """
