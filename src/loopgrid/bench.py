@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .grid import GridSpec, load_grid, map_graph
 from .ir import load_dfg
@@ -36,6 +36,11 @@ class Experiment:
             raise FileNotFoundError(self.dfg)
         if self.grid is not None and not os.path.exists(self.grid):
             raise FileNotFoundError(self.grid)
+        # mode and n_threads are what a sweep varies; they cannot be overridden
+        allowed = {f.name for f in fields(MachineParams)} - {"mode", "n_threads"}
+        for key in self.overrides:
+            if key not in allowed:
+                raise ValueError(f"unknown machine override '{key}'")
 
 
 def load_experiment(path: str) -> Experiment:

@@ -53,30 +53,35 @@ Every loop iteration is its own thread, so a unit's fire count says where
 it stands in thread space, and a run in steady state repeats its state
 exactly up to a shift of thread ids.  An untraced run of at least
 ``FAST_FORWARD_MIN_THREADS`` threads watches for that repeat with Brent's
-cycle detection for at most ``FAST_FORWARD_MAX_STEPS`` steps.  The
-signature counts every thread id from a fire count: the ids a unit injects
-or completes from its own, the ids in an arrival from the receiving unit's;
-a buffer or a held result queue, always a run of consecutive ids, by its
-length.  It also holds event times relative to the cycle, which
-units are mid-stall, the load count and the units to visit next; it holds
-no token value.  A repeat after P cycles moves each unit by k, its own
-fire-count change.  Every token in flight repeats, so a producer moves as
-its consumer does, while units that share no edge (loads under the memory
-cap among them) each keep their own k.  The kernel then skips m whole
-periods, m as large as keeps every const issue, live-in and retag below
-its thread limit (so no retag is dropped in a skipped period): fires,
-stalls, the cycle, the live-out count and the primary unit's issue cycles
-grow by m times the period's change.  This is exact because timing never
-reads a value.  The values come from replaying the period's operator
-fires, shifted, in fire order through each unit's ``ir.OPS`` op and the
-same memory, so stores, loads and the first ExecError are those of a full
-run; a const, which touches no memory and never raises, has its results
-filled by slice.  Results sit in one list per unit by thread id, and every
-64 periods a slice clears the ids nothing reads any more.  Detection
-then starts over, since a unit that stopped (a const done issuing) can
-leave the rest to repeat for longer; the normal kernel finishes the tail,
-deadlocks included.  A traced run never skips, so its trace lists every
-cycle.  A single simulation is strictly single-threaded; distinct
+cycle detection for at most ``FAST_FORWARD_MAX_STEPS`` steps, comparing only
+the steps at which a live-out value completed.  The signature counts every
+thread id from a fire count: the ids a unit injects or completes from its
+own, the ids in an arrival from the receiving unit's; a buffer or a held
+result queue, always a run of consecutive ids, by its length.  It also holds
+event times relative to the cycle, which units are mid-stall, the load count
+and the units to visit next; it holds no token value.  A repeat after P
+cycles moves each unit by k, its own fire-count change.  Every token in
+flight repeats, so a producer moves as its consumer does, while units that
+share no edge (loads under the memory cap among them) each keep their own k.
+The kernel then skips m whole periods, m as large as keeps every const
+issue, live-in and retag below its thread limit (so no retag is dropped in a
+skipped period): fires, stalls, the cycle and the live-out count grow by m
+times the period's change, and the primary unit's issue cycles are kept as
+one run (position, the period's cycles, P, m).  This is exact because timing
+never reads a value.  The values come from replaying the period's operator
+fires, shifted, in fire order through each unit's ``ir.OPS`` op and the same
+memory, so stores, loads and the first ExecError are those of a full run; a
+const, which touches no memory and never raises, has its results filled by
+slice.  Results sit in one list per unit by thread id, and a plain live-in
+slot reads a column of its values filled once per run, so every operand of
+thread t is row[t - diff]; that needs each unit that moves to have fired
+past its back slots' diffs, and no period is skipped before.  The replay
+runs in blocks of 64 periods; after each, one dict update per operator
+live-out writes its values and a slice clears the ids nothing reads any more.
+Detection then starts over, since a unit that stopped (a const done issuing)
+can leave the rest to repeat for longer; the normal kernel finishes the
+tail, deadlocks included.  A traced run never skips, so its trace lists
+every cycle.  A single simulation is strictly single-threaded; distinct
 simulations share no state.
 """
 
@@ -315,6 +320,9 @@ class SimState:
             primary = dfg.live_out[0] if dfg.live_out else 0
         self._primary = by_id.get(primary)
         self.primary_issues: list[int] = []  # cycles at which the primary unit fired
+        # each skip's issue cycles as one run: (position in primary_issues, the
+        # period's issue cycles, period, m); see _issue
+        self.issue_runs: list[tuple] = []
 
         # periodic fast-forward: the (unit index, thread id) fires since the
         # last checkpoint while looking for a repeat, else None
@@ -323,6 +331,8 @@ class SimState:
             self._log = []
             self._saved = None  # the checkpoint (see _watch)
             self._power, self._lam, self._budget = 1, 0, FAST_FORWARD_MAX_STEPS
+            self._sampled = self._missing  # live-out values missing at the last comparison
+            self._columns = None  # plain live-in name -> value per thread id (see _skip)
 
     # -- helpers -----------------------------------------------------------
 
@@ -526,11 +536,12 @@ class SimState:
         return u.stalls + (self.cycle + 1 - u.since if u.since is not None else 0)
 
     def _signature(self):
-        """The state as far as timing reads it, less what ``_watch`` keys on:
-        every thread id counted from a fire count (the unit's own for what it
-        injects or completes, the receiving unit's for an arrival), a buffer
-        or out-queue, always a run of consecutive ids, by its length, event
-        times relative to the cycle, no values."""
+        """The state as far as timing reads it, less the load count that
+        ``_watch`` keys on: every thread id counted from a fire count (the
+        unit's own for what it injects or completes, the receiving unit's for
+        an arrival), a buffer or out-queue, always a run of consecutive ids,
+        by its length, event times relative to the cycle, the units to visit
+        next, no values."""
         c = self.cycle
         units = self.units
         state = [(list(map(len, u.buffers)), tuple(u.reserved), len(u.out_queue),
@@ -540,21 +551,31 @@ class SimState:
                       for a, es in sorted(self.arrivals.items())])
         state.append([(a - c, [(u.index, t - u.fires) for u, t, _ in es])
                       for a, es in sorted(self.completions.items())])  # cycles are unique keys
+        state.append((sorted(self._wake), sorted(self._emit)))
         return state
 
     def _watch(self):
-        """Brent's cycle detection: compare each state with a checkpoint that
-        is retaken whenever the steps since it reach the next power of two.
-        A cheap key (load count, event offsets, woken and emitting units)
-        must match before the full signature is built."""
+        """Brent's cycle detection: compare the state with a checkpoint that
+        is retaken once the steps since it reach the next power of two.  Only
+        a step at which a live-out value completed is compared or
+        checkpointed: whether a step completes one follows from the state
+        before it, so a run that repeats repeats at those steps too.  The
+        step budget counts every step.  A cheap key (load count, the number of woken and emitting
+        units, the number and summed offsets of pending event times) must
+        match before the full signature is built."""
         self._budget -= 1
         if self._budget < 0:
             self._log = None
             return
-        c = self.cycle
-        key = (self.mem_outstanding, sorted(a - c for a in self.arrivals),
-               sorted(a - c for a in self.completions), sorted(self._wake), sorted(self._emit))
         self._lam += 1
+        if self._missing == self._sampled:
+            return
+        self._sampled = self._missing
+        c = self.cycle
+        arrivals, completions = self.arrivals, self.completions
+        key = (self.mem_outstanding, len(self._wake), len(self._emit),
+               len(arrivals), sum(arrivals) - c * len(arrivals),
+               len(completions), sum(completions) - c * len(completions))
         saved = self._saved
         found = None
         if saved is not None and key == saved[0]:
@@ -564,7 +585,7 @@ class SimState:
                 # leaves the others to repeat with a longer reach
                 self._saved, self._power, self._lam, self._log = None, 1, 0, []
                 return
-        if self._lam == self._power:
+        if self._lam >= self._power:
             self._saved = (key, found or self._signature(), c, [u.fires for u in self.units],
                            [self._stall_total(u) for u in self.units], self._missing,
                            len(self.primary_issues))
@@ -579,8 +600,12 @@ class SimState:
         while m <= (n - fires - diff) // k every thread-id test (const issue,
         retag drop, live-in limit) reads as in the recorded period: a drop
         there leaves no m, so none happens in a skipped period.  Nothing is
-        skipped while a seeding slot holds back carried tokens.  Only
-        operator fires are replayed; const rows are filled by slice."""
+        skipped while a seeding slot holds back carried tokens, or while a
+        unit with k > 0 has not yet fired past a back slot's diff, so every
+        operand of a replayed thread t is row[t - diff]: its producer's
+        results or, on a plain live-in slot, the live-in's column.  Only
+        operator fires are replayed, 64 periods to a block; const rows are
+        filled by slice."""
         _, _, cycle0, fires0, stalls0, missing0, issues0 = saved
         n = self.params.n_threads
         units = self.units
@@ -592,6 +617,8 @@ class SimState:
         m = n
         for u, k in zip(units, shift):
             if k:
+                if any(u.fires < d for _, d, _ in u.sources):
+                    return False  # a thread the replay would fire reads a seed
                 diff = max((d for _, _, d, _ in u.carriers), default=0)
                 m = min(m, (n - u.fires - diff) // k)
                 for inj in u.injectors:
@@ -614,13 +641,21 @@ class SimState:
         # every result still to be read has an id of at least low + j*k, since
         # what is in flight then is what is in flight now, shifted
         low = [u.fires for u in units]
+        if self._columns is None:
+            self._columns = {lv.name: list(map(lv.value_for, range(n)))
+                             for u in units for p, _, lv in u.sources if p is None}
+        # unit index -> per slot (row, diff), padded to two slots with a row of
+        # None: operand t of a unit with k > 0 is row[t - diff]
+        nones = [None] * n
+        rows = [[(self._columns[lv.name], 0) if p is None else (results[p], d)
+                 for p, d, lv in u.sources] + [(nones, 0)] * (2 - u.arity) for u in units]
 
         def operand(i, slot, t):
-            p, d, lv = units[i].sources[slot]
-            return results[p][t - d] if p is not None and t >= d else lv.value_for(t)
+            row, d = rows[i][slot]
+            return row[t - d]
 
         def keep(p, t, value):
-            # t < 0: a live-in, in the place a result of p takes periods on
+            # t < 0: a seed still buffered at a unit with k = 0
             low[p] = min(low[p], t)
             if t >= 0:
                 results[p][t] = value
@@ -652,29 +687,31 @@ class SimState:
                 results[u.index][u.fires:top] = [u.node.value] * (m * k)
                 if u.liveout is not None:
                     u.liveout.update(dict.fromkeys(range(u.fires, top), u.node.value))
-        # per operator fire: thread id and shift, result row, op, each operand's
-        # (producer row or None, diff, livein or None), live-out; a one-input
-        # op reads its b from a row of None
-        nones = [None] * n
-        ins = [[(None if p is None else results[p], d, lv) for p, d, lv in u.sources]
-               + [(nones, 0, None)] * (2 - u.arity) for u in units]
-        plan = [(t, shift[i], results[i], units[i].op, *ins[i][0], *ins[i][1], units[i].liveout)
+        # per operator fire: thread id and shift, result row, op, each
+        # operand's (row, diff)
+        plan = [(t, shift[i], results[i], units[i].op, *rows[i][0], *rows[i][1])
                 for i, t in fires if not units[i].is_const]
+        # an operator live-out unit's values are written once per block: the
+        # ids it fires in periods j0+1..j1 are fires + j0*k .. fires + j1*k - 1
+        outs = [(u.liveout, results[u.index], u.fires, k) for u, k in zip(units, shift)
+                if k and u.liveout is not None and not u.is_const]
         memory = self.memory
-        for j in range(1, m + 1):
-            for t, k, res, op, ra, da, la, rb, db, lb, out in plan:
-                t += j * k
-                res[t] = value = op(ra[t - da] if ra is not None and t >= da else la.value_for(t),
-                                    rb[t - db] if rb is not None and t >= db else lb.value_for(t),
-                                    memory)
-                if out is not None:
-                    out[t] = value
-            if j % 64 == 0:  # drop the results nothing can read any more
+        for j0 in range(0, m, 64):
+            j1 = min(j0 + 64, m)
+            for j in range(j0 + 1, j1 + 1):
+                for t, k, res, op, ra, da, rb, db in plan:
+                    t += j * k
+                    res[t] = op(ra[t - da], rb[t - db], memory)
+            for out, res, top, k in outs:
+                start = top + j0 * k
+                out.update(enumerate(res[start:top + j1 * k], start))
+            if j1 - j0 == 64:  # drop the results nothing can read any more
                 for res, lo, k in zip(results, low, shift):
-                    start, stop = max(lo + (j - 64) * k, 0), max(lo + j * k, 0)
+                    start, stop = max(lo + j0 * k, 0), max(lo + j1 * k, 0)
                     res[start:stop] = nones[start:stop]
 
-        # the state m periods on: ids shifted by m*k, times by m*period
+        # the state m periods on: ids shifted by m*k, times by m*period; a
+        # unit with k = 0 keeps its buffers, which may hold seeds
         D = m * period
         K = [m * k for k in shift]  # unit index -> id shift
         for u in units:
@@ -683,9 +720,10 @@ class SimState:
             u.stalls += m * (self._stall_total(u) - stalls0[i])
             if u.since is not None:
                 u.since += D
-            u.buffers = [{t + K[i]: operand(i, slot, t + K[i]) for t in buf}
-                         for slot, buf in enumerate(u.buffers)]
-            u.out_queue = deque((t + K[i], results[i][t + K[i]]) for t, _ in u.out_queue)
+            if K[i]:
+                u.buffers = [{t + K[i]: operand(i, slot, t + K[i]) for t in buf}
+                             for slot, buf in enumerate(u.buffers)]
+                u.out_queue = deque((t + K[i], results[i][t + K[i]]) for t, _ in u.out_queue)
             for inj in u.injectors:
                 inj[3] += K[i]
         self.arrivals = {a + D: [(i, slot, t + K[i], operand(i, slot, t + K[i]), r)
@@ -694,11 +732,25 @@ class SimState:
         self.completions = {a + D: [(u, t + K[u.index], results[u.index][t + K[u.index]])
                                     for u, t, _ in es]
                             for a, es in self.completions.items()}
-        issues = self.primary_issues[issues0:]
-        self.primary_issues += [c + j * period for j in range(1, m + 1) for c in issues]
+        self.issue_runs.append((len(self.primary_issues), self.primary_issues[issues0:],
+                                period, m))
         self.cycle += D
         self._missing -= m * produced
         return True
+
+    def _issue(self, q: int) -> int:
+        """The primary unit's q-th issue cycle, each skip's run of m periods
+        counted in place."""
+        before = 0  # entries the runs so far add ahead of primary_issues
+        for pos, issues, period, m in self.issue_runs:
+            r = q - pos - before
+            if r < 0:
+                break
+            if r < len(issues) * m:
+                j, r = divmod(r, len(issues))
+                return issues[r] + (j + 1) * period
+            before += len(issues) * m
+        return self.primary_issues[q - before]
 
     def report(self) -> SimReport:
         n = self.params.n_threads
@@ -708,11 +760,11 @@ class SimState:
         for nid in self.dfg.live_out:
             for row, v in zip(live, map(self.liveout_vals[nid].__getitem__, range(n))):
                 row[nid] = v
-        issues = self.primary_issues
+        count = len(self.primary_issues) + sum(len(r[1]) * r[3] for r in self.issue_runs)
         ii = None
-        if len(issues) >= 3:
-            mid = len(issues) // 2
-            ii = (issues[-1] - issues[mid]) / (len(issues) - 1 - mid)
+        if count >= 3:
+            mid = count // 2
+            ii = (self._issue(count - 1) - self._issue(mid)) / (count - 1 - mid)
         stalls = {u.node.id: self._stall_total(u) for u in self.units}
         return SimReport(
             mode=self.params.mode,

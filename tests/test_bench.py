@@ -40,6 +40,20 @@ def test_load_experiment_resolves_relative_paths(fixtures):
         path.unlink()
 
 
+@pytest.mark.parametrize("key", ["bogus", "mode", "n_threads"])
+def test_load_experiment_rejects_bad_overrides(fixtures, tmp_path, key):
+    # an unknown MachineParams field, or one a sweep sets itself, is refused
+    # up front instead of failing inside run_pair
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({"dfg": str(fixtures / "scenario1.dfg"),
+                                "threads": [8], "overrides": {key: 1}}))
+    with pytest.raises(ValueError, match=f"'{key}'"):
+        load_experiment(str(path))
+    path.write_text(json.dumps({"dfg": str(fixtures / "scenario1.dfg"),
+                                "threads": [8], "overrides": {"spill_latency": 4}}))
+    assert load_experiment(str(path)).overrides == {"spill_latency": 4}
+
+
 def test_speedup_is_cycle_ratio():
     pt = SweepPoint(threads=8, cycles_baseline=100, cycles_dr=25)
     assert pt.speedup == 4.0

@@ -147,6 +147,16 @@ def test_sweep_keeps_the_error_code(data_dir, tmp_path):
     assert proc.stderr.startswith("error: intra-cycle")
 
 
+def test_sweep_refuses_an_unknown_override(fixtures, tmp_path):
+    exp = tmp_path / "exp.json"
+    exp.write_text(json.dumps({"dfg": str(fixtures / "scenario1.dfg"), "threads": [8],
+                               "overrides": {"bogus": 1}}))
+    proc = subprocess.run(CLI + ["sweep", "--exp", str(exp), "--out", str(tmp_path / "c.csv")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: unknown machine override 'bogus'\n"
+
+
 def test_livein_on_fed_slot_exits_nonzero(tmp_path):
     # the simulator never validates, so the parser must refuse the second feeder
     path = tmp_path / "g.dfg"

@@ -359,6 +359,28 @@ def test_fast_forward_skips_each_component_at_its_own_rate(monkeypatch, mode, te
     assert sim.simulate(cfg, g, params, trace=Discard()).to_json() == rep.to_json()
 
 
+def test_fast_forward_step_ledger(monkeypatch, fixtures):
+    # the untraced steps of every fixture, both modes, at four thread counts:
+    # repeat detection that finds fewer or later repeats shows up as more
+    # steps.  18,448 is the total when every step is compared
+    steps = 0
+    step = sim.SimState.step
+
+    def counted(self):
+        nonlocal steps
+        steps += 1
+        step(self)
+
+    monkeypatch.setattr(sim.SimState, "step", counted)
+    for path in sorted(fixtures.glob("*.dfg")) + sorted(fixtures.glob("suite/*.dfg")):
+        g = load_dfg(str(path))
+        cfg = map_graph(g)
+        for mode in ("baseline", "dr"):
+            for n in (64, 128, 512, 4096):
+                sim.simulate(cfg, g, MachineParams(mode=mode, n_threads=n))
+    assert steps <= 18_448
+
+
 SEEDED_SELF_LOOP = """
 node 0 const 0
 node 1 load
@@ -376,13 +398,46 @@ liveout 2
 @pytest.mark.parametrize("mode", ["baseline", "dr"])
 def test_fast_forward_keeps_results_a_seeded_slot_will_read(mode):
     # the unconnected const makes every cycle a step, so the run repeats while
-    # node 2 still holds a seed; a result takes that seed's place a period
-    # on, and the drop every 64 periods must keep it
+    # node 2 still holds a seed; no period may be skipped before node 2 has
+    # fired past its diff, and the drop every 64 periods must keep the
+    # results a later period reads
     g = parse_dfg(SEEDED_SELF_LOOP)
     cfg = map_graph(g)
     params = MachineParams(mode=mode, n_threads=1500, mem_max_outstanding=1)
     want = sim.simulate(cfg, g, params, trace=Discard()).to_json()
     assert sim.simulate(cfg, g, params).to_json() == want
+
+
+# one capped load issues a thread every mem_latency cycles, so the run repeats
+# from its first periods on, while node 2 still reads its eight seeds
+SLOW_WIDE_SEED = """
+node 0 const 0
+node 1 load
+edge 0 1 0
+node 2 add
+edge 1 2 0
+back 2 2 1 8
+livein s 2 1 1 2 3 4 5 6 7 8
+mem 0 3
+liveout 2
+"""
+
+
+@pytest.mark.parametrize("mode", ["baseline", "dr"])
+def test_fast_forward_waits_until_a_seeded_unit_passes_its_diff(mode):
+    # the replay reads thread t's carried operand at t - diff of its
+    # producer's row; below the diff that index is negative and a Python list
+    # would read the row's end, so no period is skipped until node 2 has fired
+    # eight threads
+    g = parse_dfg(SLOW_WIDE_SEED)
+    spec = default_grid()
+    spec.token_buffer_depth = 16
+    cfg = map_graph(g, spec)
+    for n in (64, 300):
+        params = MachineParams(mode=mode, n_threads=n, mem_max_outstanding=1)
+        rep = sim.simulate(cfg, g, params)
+        assert rep.to_json() == sim.simulate(cfg, g, params, trace=Discard()).to_json()
+        assert [row[2] for row in rep.live_out] == [row[2] for row in reference_execute(g, n)]
 
 
 # a fast-forward fills a const's results for the whole skipped range instead
