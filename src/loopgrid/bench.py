@@ -14,9 +14,11 @@ import json
 import os
 from dataclasses import dataclass, field, fields
 
+# sim first: compiling the largest module before the others exist keeps
+# the peak resident set of a process that imports bench lower
+from .sim import MachineParams, simulate
 from .grid import GridSpec, load_grid, map_graph
 from .ir import load_dfg
-from .sim import MachineParams, simulate
 
 DEFAULT_THREADS = (8, 32, 128, 512)
 

@@ -10,18 +10,20 @@ import argparse
 import json
 import sys
 
-from . import bench, traceflow
-from .analysis import describe_deps
-from .grid import default_grid, load_grid, map_graph
-from .ir import load_dfg
-from .sim import MachineParams, simulate
+# Each command imports only the modules it runs, so a one-shot process
+# compiles no module it does not use.
 
 
 def _grid_arg(args):
+    from .grid import default_grid, load_grid
+
     return load_grid(args.grid) if args.grid else default_grid()
 
 
 def cmd_analyze(args) -> int:
+    from .analysis import describe_deps
+    from .ir import load_dfg
+
     g = load_dfg(args.dfg)
     for line in describe_deps(g):
         print(line)
@@ -29,6 +31,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_map(args) -> int:
+    from .grid import map_graph
+    from .ir import load_dfg
+
     g = load_dfg(args.dfg)
     config = map_graph(g, _grid_arg(args))
     print(json.dumps(config.to_json(), indent=2, sort_keys=True))
@@ -36,6 +41,10 @@ def cmd_map(args) -> int:
 
 
 def cmd_sim(args) -> int:
+    from .sim import MachineParams, simulate  # first, as in bench.py
+    from .grid import map_graph
+    from .ir import load_dfg
+
     g = load_dfg(args.dfg)
     config = map_graph(g, _grid_arg(args))
     params = MachineParams(
@@ -64,6 +73,8 @@ def _write_out(path: str, text: str) -> None:
 
 
 def cmd_sweep(args) -> int:
+    from . import bench
+
     exp = bench.load_experiment(args.exp)
     curve = bench.sweep(exp)
     _write_out(args.out, curve.to_csv())
@@ -71,6 +82,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_suite(args) -> int:
+    from . import bench
+
     summary = bench.suite(args.dir)
     if summary.uniform_weights_warning:
         print("warning: no weights.json found, using uniform weights", file=sys.stderr)
@@ -79,6 +92,8 @@ def cmd_suite(args) -> int:
 
 
 def cmd_trace(args) -> int:
+    from . import traceflow
+
     graphs = traceflow.ingest_file(args.infile)
     stats = traceflow.prevalence_report(graphs, min_routine_fraction=args.min_routine_frac)
     doc = stats.to_json()

@@ -22,6 +22,7 @@ from .analysis import DEFAULT_LATENCIES, LoopCarriedDep, LoopPattern, classify, 
 from .ir import DataflowGraph, memory_carried
 
 COMPUTE, LDST, CONTROL, SJU = "COMPUTE", "LDST", "CONTROL", "SJU"
+UNIT_CLASSES = (COMPUTE, LDST, CONTROL, SJU)
 
 # node kind -> unit class hosting it
 KIND_CLASS = {"load": LDST, "store": LDST, "control": CONTROL, "splitjoin": SJU}
@@ -47,16 +48,21 @@ class GridSpec:
     token_buffer_depth: int = 16
 
     def __post_init__(self):
+        _require_int("rows", self.rows, 1)
+        _require_int("cols", self.cols, 1)
         # every scheduled arrival and completion must lie strictly after the
         # cycle that schedules it; a zero-hop route is delivered in place
-        if self.hop_latency < 0:
-            raise ValueError(f"hop_latency must be at least 0, got {self.hop_latency}")
+        _require_int("hop_latency", self.hop_latency, 0)
         for cls, lat in self.latencies.items():
-            if lat < 1:
-                raise ValueError(f"latency of '{cls}' must be at least 1, got {lat}")
-        if self.token_buffer_depth < 1:
-            raise ValueError(
-                f"token_buffer_depth must be at least 1, got {self.token_buffer_depth}")
+            if cls not in DEFAULT_LATENCIES:
+                raise ValueError(f"unknown latency class {cls!r}")
+            _require_int(f"latency of '{cls}'", lat, 1)
+        _require_int("token_buffer_depth", self.token_buffer_depth, 1)
+        for (r, c), k in self.unit_map.items():
+            if not (0 <= r < self.rows and 0 <= c < self.cols):
+                raise ValueError(f"cell ({r},{c}) lies outside the {self.rows}x{self.cols} grid")
+            if k not in UNIT_CLASSES:
+                raise ValueError(f"cell ({r},{c}) has unknown unit class {k!r}")
 
     def cells_of(self, cls: str) -> list[tuple[int, int]]:
         return sorted(c for c, k in self.unit_map.items() if k == cls)
@@ -73,18 +79,35 @@ class GridSpec:
 
     @classmethod
     def from_json(cls, doc: dict) -> "GridSpec":
+        _require_object("grid spec", doc)
+        cells = doc.get("unit_map", {})
+        latencies = doc.get("latencies", {})
+        _require_object("unit_map", cells)
+        _require_object("latencies", latencies)
         unit_map = {}
-        for key, k in doc.get("unit_map", {}).items():
+        for key, k in cells.items():
             r, c = key.split(",")
             unit_map[(int(r), int(c))] = k
         return cls(
             rows=doc.get("rows", 8),
             cols=doc.get("cols", 8),
             unit_map=unit_map,
-            latencies={**DEFAULT_LATENCIES, **doc.get("latencies", {})},
+            latencies={**DEFAULT_LATENCIES, **latencies},
             hop_latency=doc.get("hop_latency", 1),
             token_buffer_depth=doc.get("token_buffer_depth", 16),
         )
+
+
+def _require_int(name: str, value, low: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
+
+
+def _require_object(name: str, value) -> None:
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a JSON object, got {type(value).__name__}")
 
 
 def default_grid() -> GridSpec:
@@ -199,7 +222,7 @@ def place(g: DataflowGraph, spec: GridSpec) -> dict[int, tuple[int, int]]:
     for e in g.intra_edges():
         preds[e.dst].append(e.src)
 
-    free = {cls: list(spec.cells_of(cls)) for cls in (COMPUTE, LDST, CONTROL, SJU)}
+    free = {cls: list(spec.cells_of(cls)) for cls in UNIT_CLASSES}
     placement: dict[int, tuple[int, int]] = {}
     for nid in order:
         cls = kind_class(g.node(nid).kind)

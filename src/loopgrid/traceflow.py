@@ -304,6 +304,8 @@ def prevalence_report(graphs: dict[str, RoutineGraph],
                       max_routes: int = DEFAULT_MAX_ROUTES) -> BenchmarkStats:
     """Per-routine loop-time fractions plus the benchmark-level aggregate
     over routines above the run-time cutoff (default 1%)."""
+    if not 0 <= min_routine_fraction <= 1:  # also refuses NaN
+        raise ValueError(f"min_routine_fraction must be in [0, 1], got {min_routine_fraction}")
     times = {name: g.total_instructions() for name, g in graphs.items()}
     total = sum(times.values())
     routines = []

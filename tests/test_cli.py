@@ -21,19 +21,73 @@ def run_cli(*args, expect=0):
 
 
 def test_import_adds_only_stdlib_modules():
-    # no runtime dependencies: importing the package and its CLI in a fresh
-    # interpreter adds no top-level module from outside the standard library
+    # no runtime dependencies: importing every module of the package in a
+    # fresh interpreter adds no top-level module from outside the standard library
     # (compared before/after, since start-up .pth hooks load modules of their own)
     code = (
         "import sys\n"
         "before = set(sys.modules)\n"
-        "import loopgrid, loopgrid.cli\n"
+        "import loopgrid, loopgrid.analysis, loopgrid.bench, loopgrid.cli, loopgrid.grid\n"
+        "import loopgrid.ir, loopgrid.sim, loopgrid.traceflow\n"
         "new = {m.split('.')[0] for m in set(sys.modules) - before}\n"
         "print(*sorted(new - set(sys.stdlib_module_names) - {'loopgrid'}))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+def loaded_modules(code: str, cwd=None) -> list[str]:
+    """The loopgrid modules a fresh interpreter holds after running ``code``."""
+    code += ("\nimport sys\n"
+             "print(*sorted(m for m in sys.modules if m.startswith('loopgrid')),\n"
+             "      file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=cwd)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stderr.split()
+
+
+def test_package_import_loads_no_submodule():
+    assert loaded_modules("import loopgrid") == ["loopgrid"]
+
+
+FRONT_END = ["loopgrid.analysis", "loopgrid.ir"]
+SIMULATOR = FRONT_END + ["loopgrid.grid", "loopgrid.sim"]
+
+
+# the criterion-7 invocations; EXP stands for an experiment file
+@pytest.mark.parametrize("args, modules", [
+    (["analyze", "fixtures/scenario3.dfg"], FRONT_END),
+    (["map", "fixtures/scenario2.dfg"], FRONT_END + ["loopgrid.grid"]),
+    (["sim", "fixtures/scenario4.dfg", "--mode", "dr", "--threads", "32"], SIMULATOR),
+    (["sweep", "--exp", "EXP", "--out", "-"], SIMULATOR + ["loopgrid.bench"]),
+    (["suite", "--dir", "fixtures/suite", "--out", "-"], SIMULATOR + ["loopgrid.bench"]),
+    (["trace", "--in", "fixtures/traces/coverage90.trc", "--coverage", "0.90,0.95"],
+     ["loopgrid.traceflow"]),
+], ids=["analyze", "map", "sim", "sweep", "suite", "trace"])
+def test_each_command_loads_only_the_modules_it_runs(fixtures, tmp_path, args, modules):
+    exp = tmp_path / "exp.json"
+    exp.write_text(json.dumps({"dfg": str(fixtures / "scenario1.dfg"), "threads": [8, 32]}))
+    argv = [str(exp) if a == "EXP" else a for a in args]
+    got = loaded_modules("import contextlib, io, loopgrid.cli\n"
+                         "with contextlib.redirect_stdout(io.StringIO()):\n"
+                         f"    assert loopgrid.cli.main({argv!r}) == 0\n", cwd=fixtures.parent)
+    assert got == sorted(["loopgrid", "loopgrid.cli"] + modules)
+
+
+def test_lazy_package_exports():
+    import loopgrid
+
+    for name in loopgrid.__all__:
+        obj = getattr(loopgrid, name)
+        assert obj.__module__ in ("loopgrid.analysis", "loopgrid.grid", "loopgrid.ir",
+                                  "loopgrid.sim"), name
+        assert getattr(sys.modules[obj.__module__], name) is obj, name
+    namespace = {}
+    exec("from loopgrid import *", namespace)
+    assert set(loopgrid.__all__) <= set(namespace)
+    with pytest.raises(AttributeError):
+        loopgrid.no_such_name
 
 
 def test_analyze_line_format(fixtures):
@@ -108,6 +162,15 @@ def test_repeat_runs_byte_identical(fixtures, args):
     resolved = [a if a.startswith("-") or not a.startswith("fixtures/")
                 else str(root / a) for a in args]
     assert run_cli(*resolved) == run_cli(*resolved)
+
+
+@pytest.mark.parametrize("frac", ["2", "-0.5", "nan"])
+def test_trace_refuses_a_routine_cutoff_outside_the_unit_interval(fixtures, frac):
+    proc = subprocess.run(CLI + ["trace", "--in", str(fixtures / "traces/looptime.trc"),
+                                 "--min-routine-frac", frac], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: min_routine_fraction") and proc.stderr.count("\n") == 1
 
 
 def test_bad_input_exits_nonzero(tmp_path):

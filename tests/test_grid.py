@@ -61,6 +61,26 @@ def test_grid_spec_rejects_latencies_the_simulator_cannot_schedule(bad):
         GridSpec(**bad)
 
 
+@pytest.mark.parametrize("doc", [
+    [default_grid().to_json()],
+    {"unit_map": ["0,0"]},
+    {"latencies": [["alu", 1]]},
+    {"latencies": {"alu": "2"}},
+    {"latencies": {"alus": 2}},
+    {"token_buffer_depth": "4"},
+    {"hop_latency": 1.5},
+    {"rows": 0},
+    {"rows": 2, "cols": 2, "unit_map": {"0,0": "LDST", "5,5": "COMPUTE"}},
+    {"unit_map": {"0,-1": "COMPUTE"}},
+    {"unit_map": {"0,0": "GPU"}},
+], ids=["list", "unit-map-list", "latencies-list", "string-latency", "unknown-latency",
+        "string-depth", "float-hop", "no-rows", "cell-outside", "negative-cell", "unknown-class"])
+def test_grid_spec_rejects_malformed_documents(doc):
+    # each used to load silently or fail with AttributeError or TypeError
+    with pytest.raises(ValueError):
+        GridSpec.from_json(doc)
+
+
 def test_zero_hop_latency_still_simulates(fixtures):
     # zero-latency routes deliver during emission and stay legal
     spec = GridSpec.from_json({**default_grid().to_json(), "hop_latency": 0})

@@ -391,6 +391,17 @@ def test_minor_routines_filtered():
     assert tiny.filtered and tiny.prevalence < 0.01
 
 
+@pytest.mark.parametrize("frac", [-0.01, 1.01, 2.0, float("nan")])
+def test_routine_cutoff_outside_the_unit_interval_is_refused(frac):
+    # a cutoff above 1 used to filter every routine and NaN none, silently
+    g = ingest(["big,0,100"] * 200 + ["tiny,0,1", "tiny,1,1"])
+    with pytest.raises(ValueError, match="min_routine_fraction"):
+        prevalence_report(g, min_routine_fraction=frac)
+    for edge, filtered in ((0, False), (1, True)):
+        stats = prevalence_report(g, min_routine_fraction=edge)
+        assert [r.filtered for r in stats.routines] == [filtered] * 2
+
+
 # ---------------------------------------------------------------- coverage
 
 def test_coverage_basics():
