@@ -16,7 +16,7 @@ consumer, paying its route latency.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .analysis import DEFAULT_LATENCIES, LoopCarriedDep, LoopPattern, classify, find_deps
 from .ir import DataflowGraph, memory_carried
@@ -80,14 +80,21 @@ class GridSpec:
     @classmethod
     def from_json(cls, doc: dict) -> "GridSpec":
         _require_object("grid spec", doc)
+        known = {f.name for f in fields(cls)}
+        for key in doc:
+            if key not in known:
+                raise ValueError(f"unknown grid spec key {key!r}")
         cells = doc.get("unit_map", {})
         latencies = doc.get("latencies", {})
         _require_object("unit_map", cells)
         _require_object("latencies", latencies)
         unit_map = {}
         for key, k in cells.items():
-            r, c = key.split(",")
-            unit_map[(int(r), int(c))] = k
+            r, _, c = key.partition(",")
+            try:
+                unit_map[(int(r), int(c))] = k
+            except ValueError:
+                raise ValueError(f"unit_map key {key!r} is not '<row>,<col>'") from None
         return cls(
             rows=doc.get("rows", 8),
             cols=doc.get("cols", 8),

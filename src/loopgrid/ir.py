@@ -101,6 +101,10 @@ class LiveIn:
         # last listed value to all later threads.
         return self.values[thread] if thread < len(self.values) else self.values[-1]
 
+    def column(self, n: int) -> list:
+        """``value_for`` of threads 0..n-1."""
+        return [*self.values[:n], *self.values[-1:] * (n - len(self.values))]
+
 
 @dataclass
 class DataflowGraph:

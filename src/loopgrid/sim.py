@@ -1,10 +1,9 @@
 """Deterministic cycle-level simulation of a mapped loop graph.
 
-Execution follows the tagged-token discipline: every value travels as a
-(thread id, value) token, a unit fires its threads in order, each as soon as
-all of its input slots hold that thread's token, and results flow along the
-static routes.  Loop-carried values cross iterations in one of
-two ways depending on the mode:
+Execution follows the tagged-token discipline: a token is a thread id, a
+unit fires its threads in order, each as soon as all of its input slots hold
+that thread's token, and tokens flow along the static routes.  Loop-carried
+values cross iterations in one of two ways depending on the mode:
 
 * ``dr``   -- the producing unit's result is retagged (+diff) one cycle
   after completion and written straight into the consumer's dependent
@@ -20,7 +19,14 @@ later threads the carried value), so ``selector_drops`` is always 0.  Like
 the selector, the slot serves its seeds first: a carried token that arrives
 while seeds are still to be injected is held back, and the held tokens enter
 in thread order once the last seed is in.  So every slot receives its
-threads in order, and a unit's next thread is always its fire count.
+threads in order, a buffer always holds the unit's next threads and is kept
+as a count, and a unit's next thread is always its fire count.
+
+Values do not travel with the tokens.  Each unit has one result row indexed
+by thread id, written once, when it fires thread t (a const's row is filled
+at the start).  Firing thread t reads each operand as its producer's
+``row[t - diff]`` (diff 0 on an intra edge), a plain live-in's column, or,
+below ``diff``, the seeding live-in.  The live-outs are read from the rows.
 
 Each cycle runs five phases in order: arrivals enter buffers, completions
 queue results and schedule carried copies, units emit held results (node
@@ -56,33 +62,29 @@ exactly up to a shift of thread ids.  An untraced run of at least
 cycle detection for at most ``FAST_FORWARD_MAX_STEPS`` steps, comparing only
 the steps at which a live-out value completed.  The signature counts every
 thread id from a fire count: the ids a unit injects or completes from its
-own, the ids in an arrival from the receiving unit's; a buffer or a held
-result queue, always a run of consecutive ids, by its length.  It also holds
+own, the ids in an arrival from the receiving unit's.  It holds the buffer
+counts, the length of each held result queue (a run of consecutive ids),
 event times relative to the cycle, which units are mid-stall, the load count
-and the units to visit next; it holds no token value.  A repeat after P
-cycles moves each unit by k, its own fire-count change.  Every token in
-flight repeats, so a producer moves as its consumer does, while units that
-share no edge (loads under the memory cap among them) each keep their own k.
-The kernel then skips m whole periods, m as large as keeps every const
-issue, live-in and retag below its thread limit (so no retag is dropped in a
-skipped period): fires, stalls, the cycle and the live-out count grow by m
-times the period's change, and the primary unit's issue cycles are kept as
-one run (position, the period's cycles, P, m).  This is exact because timing
-never reads a value.  The values come from replaying the period's operator
-fires, shifted, in fire order through each unit's ``ir.OPS`` op and the same
-memory, so stores, loads and the first ExecError are those of a full run; a
-const, which touches no memory and never raises, has its results filled by
-slice.  Results sit in one list per unit by thread id, and a plain live-in
-slot reads a column of its values filled once per run, so every operand of
-thread t is row[t - diff]; that needs each unit that moves to have fired
-past its back slots' diffs, and no period is skipped before.  The replay
-runs in blocks of 64 periods; after each, one dict update per operator
-live-out writes its values and a slice clears the ids nothing reads any more.
-Detection then starts over, since a unit that stopped (a const done issuing)
-can leave the rest to repeat for longer; the normal kernel finishes the
-tail, deadlocks included.  A traced run never skips, so its trace lists
-every cycle.  A single simulation is strictly single-threaded; distinct
-simulations share no state.
+and the units to visit next.  A repeat after P cycles moves each unit by k,
+its own fire-count change.  Every token in flight repeats, so a producer
+moves as its consumer does, while units that share no edge (loads under the
+memory cap among them) each keep their own k.  The kernel then skips m whole
+periods, m as large as keeps every const issue, live-in and retag below its
+thread limit (so no retag is dropped in a skipped period): fires, stalls,
+the cycle and the live-out count grow by m times the period's change, and
+the primary unit's issue cycles are kept as one run (position, the period's
+cycles, P, m).  This is exact because timing never reads a value.  The
+values come from replaying the period's operator fires, shifted, in fire
+order into the same rows through each unit's ``ir.OPS`` op and the same
+memory, so stores, loads and the first ExecError are those of a full run.
+The replay reads every operand as ``row[t - diff]``, so no period is skipped
+before each unit that moves has fired past its back slots' diffs.  It runs
+in blocks of 64 periods; after each, a slice clears the ids below every
+consumer's next read (never on a live-out's row).  Detection then starts
+over, since a unit that stopped (a const done issuing) can leave the rest to
+repeat for longer; the normal kernel finishes the tail, deadlocks included.
+A traced run never skips, so its trace lists every cycle.  A single
+simulation is strictly single-threaded; distinct simulations share no state.
 """
 
 from __future__ import annotations
@@ -92,7 +94,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .analysis import LoopPattern, classify, find_deps
-from .grid import GridConfig, GridSpec
+from .grid import GridConfig, GridSpec, _require_int
 from .ir import OPS, DataflowGraph, DfgError, Node
 
 
@@ -122,10 +124,11 @@ class MachineParams:
     def __post_init__(self):
         if self.mode not in ("baseline", "dr"):
             raise ValueError(f"unknown mode '{self.mode}'")
-        if self.n_threads < 1 or self.mem_latency < 1 or self.spill_latency < 0:
-            raise ValueError("bad machine parameters")
-        if self.mem_max_outstanding is not None and self.mem_max_outstanding < 1:
-            raise ValueError("mem_max_outstanding must be None or at least 1")
+        _require_int("n_threads", self.n_threads, 1)
+        _require_int("mem_latency", self.mem_latency, 1)
+        _require_int("spill_latency", self.spill_latency, 0)
+        if self.mem_max_outstanding is not None:  # None = unlimited
+            _require_int("mem_max_outstanding", self.mem_max_outstanding, 1)
 
 
 def unit_latency(nd: Node, spec: GridSpec, params: MachineParams) -> int:
@@ -175,10 +178,11 @@ class SimInvariantError(AssertionError):
 
 class _Unit:
     __slots__ = ("index", "node", "cell", "latency", "arity", "op", "is_const", "is_load",
-                 "emits", "buffers", "reserved", "out_queue", "links", "feeders",
-                 "carriers", "injectors", "sources", "liveout", "fires", "stalls", "since")
+                 "emits", "row", "buffers", "reserved", "out_queue", "links", "feeders",
+                 "carriers", "injectors", "sources", "ins", "liveout", "fires", "stalls",
+                 "since")
 
-    def __init__(self, index, node, cell, latency):
+    def __init__(self, index, node, cell, latency, n):
         self.index = index  # position in node order, which is firing order
         self.node = node
         self.cell = cell
@@ -188,7 +192,8 @@ class _Unit:
         self.is_const = node.kind == "const"
         self.is_load = node.kind == "load"
         self.emits = node.kind != "sink"
-        self.buffers = [dict() for _ in range(self.arity)]
+        self.row = [node.value if self.is_const else None] * n  # thread id -> result
+        self.buffers = [0] * self.arity  # tokens per slot: threads fires, fires + 1, ...
         self.reserved = [0] * self.arity
         self.out_queue = deque()
         # other units appear by index only: no reference cycles, so a finished
@@ -199,7 +204,8 @@ class _Unit:
         self.injectors = []  # live-in injectors on this unit still short of their limit
         # per slot: (producer index or None, diff (0 on an intra edge), livein or None)
         self.sources = [(None, 0, None)] * self.arity
-        self.liveout = None  # thread id -> value, on a live-out unit
+        self.ins = None  # per slot, padded to two: (row, diff, seeding livein); see SimState
+        self.liveout = False
         self.fires = 0  # the unit fires thread ``fires`` next
         self.stalls = 0  # stall cycles credited so far
         self.since = None  # first cycle of the current uncredited stall run
@@ -227,7 +233,9 @@ class SimState:
                 raise DfgError("arity-mismatch",
                                f"{what}: node {nid} ({nd.kind}) has no slot {slot}")
 
-        self.units = [_Unit(i, nd, config.placement[nd.id], unit_latency(nd, config.spec, params))
+        n = params.n_threads
+        self.units = [_Unit(i, nd, config.placement[nd.id],
+                            unit_latency(nd, config.spec, params), n)
                       for i, nd in enumerate(dfg.nodes)]
         by_id = {u.node.id: u for u in self.units}
 
@@ -281,18 +289,24 @@ class SimState:
                     raise DfgError("missing-livein", f"back edge into slot {slot} of node "
                                    f"{u.node.id} has no livein and feeds no live-out")
 
-        # live-in injectors: [unit index, slot, livein, next tid, tid limit, held
-        # carried tokens by thread id]; on a dependent slot only threads below
-        # diff take a live-in value
+        # live-in injectors: [unit index, slot, next tid, tid limit, held carried
+        # thread ids]; on a dependent slot only threads below diff take a
+        # live-in token
         dep_diff = {(e.dst, e.slot): e.diff for e in dfg.back_edges()}
         self._inject = []
         for lv in dfg.live_in.values():
             if not lv.values:
                 raise DfgError("livein-length", f"livein '{lv.name}' has no values")
-            limit = min(dep_diff.get((lv.node, lv.slot), params.n_threads), params.n_threads)
-            inj = [by_id[lv.node].index, lv.slot, lv, 0, limit, {}]
+            limit = min(dep_diff.get((lv.node, lv.slot), n), n)
+            inj = [by_id[lv.node].index, lv.slot, 0, limit, []]
             by_id[lv.node].injectors.append(inj)
             self._inject.append(inj)
+        # operand t of a slot is row[t - diff], or its seed below diff; a second
+        # slot of None pads a one-input unit
+        self._nones = [None] * n
+        for u in self.units:
+            u.ins = [(self.units[p].row if p is not None else lv.column(n), d, lv)
+                     for p, d, lv in u.sources] + [(self._nones, 0, None)] * (2 - u.arity)
 
         self.memory = dict(dfg.memory_image)
         self.mem_outstanding = 0
@@ -300,10 +314,10 @@ class SimState:
         self.completions: dict[int, list] = {}
         self.cycle = 0
         self.dropped_retags = 0
-        self.liveout_vals: dict[int, dict[int, object]] = {n: {} for n in dfg.live_out}
-        for nid, vals in self.liveout_vals.items():
-            by_id[nid].liveout = vals
-        self._missing = params.n_threads * len(self.liveout_vals)  # values still to produce
+        self._outs = {nid: by_id[nid] for nid in dfg.live_out}  # live-out units, once each
+        for u in self._outs.values():
+            u.liveout = True
+        self._missing = n * len(self._outs)  # values still to produce
         self._loads = {u.index for u in self.units if u.is_load}
 
         # units to examine in the next firing pass (every unit in cycle 1), and
@@ -327,12 +341,11 @@ class SimState:
         # periodic fast-forward: the (unit index, thread id) fires since the
         # last checkpoint while looking for a repeat, else None
         self._log = None
-        if trace is None and params.n_threads >= FAST_FORWARD_MIN_THREADS:
+        if trace is None and n >= FAST_FORWARD_MIN_THREADS:
             self._log = []
             self._saved = None  # the checkpoint (see _watch)
             self._power, self._lam, self._budget = 1, 0, FAST_FORWARD_MAX_STEPS
             self._sampled = self._missing  # live-out values missing at the last comparison
-            self._columns = None  # plain live-in name -> value per thread id (see _skip)
 
     # -- helpers -----------------------------------------------------------
 
@@ -344,12 +357,12 @@ class SimState:
         )
 
     @staticmethod
-    def _put(unit: _Unit, slot: int, tid: int, value):
-        buf = unit.buffers[slot]
-        if tid in buf:
-            raise SimInvariantError(
-                f"duplicate token (node {unit.node.id}, slot {slot}, thread {tid})")
-        buf[tid] = value
+    def _put(unit: _Unit, slot: int, tid: int):
+        want = unit.fires + unit.buffers[slot]
+        if tid != want:
+            raise SimInvariantError(f"token out of order (node {unit.node.id}, slot {slot}, "
+                                    f"thread {tid}, expected {want})")
+        unit.buffers[slot] += 1
 
     def done(self) -> bool:
         return self._missing == 0
@@ -384,17 +397,17 @@ class SimState:
         arrived = arrivals.pop(c, None)
         if arrived:
             progress = True
-            for i, slot, tid, value, routed in arrived:
+            for i, slot, tid, routed in arrived:
                 u = units[i]
                 if routed:
                     u.reserved[slot] -= 1
                 elif u.injectors:
                     # a carried token waits until its slot's seeds are all in
-                    held = next((inj[5] for inj in u.injectors if inj[1] == slot), None)
+                    held = next((inj[4] for inj in u.injectors if inj[1] == slot), None)
                     if held is not None:
-                        held[tid] = value
+                        held.append(tid)
                         continue
-                self._put(u, slot, tid, value)
+                self._put(u, slot, tid)
                 wake.add(i)
 
         # 2. completions: results become emittable; loop-carried copies are
@@ -402,31 +415,29 @@ class SimState:
         completed = completions.pop(c, None)
         if completed:
             progress = True
-            for u, tid, value in completed:
+            for u, tid in completed:
                 if u.is_load:
                     self.mem_outstanding -= 1
                     if mem_cap is not None:
                         wake |= self._loads  # a load held at the cap may issue now
                 if trace is not None:
-                    self._emit_trace(c, "complete", u, tid, value)
-                if u.liveout is not None:
+                    self._emit_trace(c, "complete", u, tid, u.row[tid])
+                if u.liveout:
                     self._missing -= 1  # a unit completes each thread once
-                    u.liveout[tid] = value
                 if u.emits:
-                    u.out_queue.append((tid, value))
+                    u.out_queue.append(tid)
                     if len(u.out_queue) == 1:
                         emit.add(u.index)
                 for consumer, slot, diff, delay in u.carriers:
-                    new = ildr_retag(Token(tid, value), diff)
-                    if new.thread_id >= n:
+                    if tid + diff >= n:
                         self.dropped_retags += 1
                         if trace is not None:
-                            self._emit_trace(c, "drop", u, new.thread_id, value)
+                            self._emit_trace(c, "drop", u, tid + diff, u.row[tid])
                     else:
                         if trace is not None:
-                            self._emit_trace(c, "retag", u, new.thread_id, value)
+                            self._emit_trace(c, "retag", u, tid + diff, u.row[tid])
                         arrivals.setdefault(c + delay, []).append(
-                            (consumer, slot, new.thread_id, new.value, False))
+                            (consumer, slot, tid + diff, False))
 
         # 3. emission, in node order: one held result per unit per cycle, all
         #    fan-out destinations must have room (back-pressure).  Room only
@@ -438,22 +449,22 @@ class SimState:
                 links = u.links
                 for d, s, _lat in links:
                     dst = units[d]
-                    if len(dst.buffers[s]) + dst.reserved[s] >= depth:
+                    if dst.buffers[s] + dst.reserved[s] >= depth:
                         emit.discard(i)
                         break
                 else:
                     progress = True
-                    tid, value = u.out_queue.popleft()
+                    tid = u.out_queue.popleft()
                     if not u.out_queue:
                         emit.discard(i)
                         wake.add(i)  # no longer held back by a pending result
                     for d, s, lat in links:
                         if lat == 0:
-                            self._put(units[d], s, tid, value)
+                            self._put(units[d], s, tid)
                             wake.add(d)
                         else:
                             units[d].reserved[s] += 1
-                            arrivals.setdefault(c + lat, []).append((d, s, tid, value, True))
+                            arrivals.setdefault(c + lat, []).append((d, s, tid, True))
 
         # 4. firing, in node order, of the woken units; every other unit would
         #    repeat its last outcome.  A unit fires thread ``fires``, the next
@@ -468,12 +479,11 @@ class SimState:
             if u.is_const:
                 if tid >= n or u.out_queue:
                     continue
-                value = u.node.value
             else:
                 bufs = u.buffers
                 if not any(bufs):
                     continue
-                if u.out_queue or not all(tid in b for b in bufs) or (
+                if u.out_queue or not all(bufs) or (
                         u.is_load and mem_cap is not None and self.mem_outstanding >= mem_cap):
                     if u.since is None:
                         u.since = c
@@ -483,8 +493,10 @@ class SimState:
                 if u.since is not None:
                     u.stalls += c - u.since
                     u.since = None
-                ins = [b.pop(tid) for b in bufs]
-                value = u.op(ins[0], ins[1] if u.arity == 2 else None, self.memory)
+                for s in range(u.arity):
+                    bufs[s] -= 1
+                u.row[tid] = u.op(*[row[tid - d] if tid >= d else lv.value_for(tid)
+                                    for row, d, lv in u.ins], self.memory)
                 if u.is_load:
                     self.mem_outstanding += 1
                 if u is self._primary:
@@ -495,8 +507,8 @@ class SimState:
             if log is not None:
                 log.append((i, tid))
             if trace is not None:
-                self._emit_trace(c, "fire", u, tid, value)
-            completions.setdefault(c + u.latency, []).append((u, tid, value))
+                self._emit_trace(c, "fire", u, tid, u.row[tid])
+            completions.setdefault(c + u.latency, []).append((u, tid))
             # the freed slots let held feeders emit and live-ins refill
             for f in u.feeders:
                 if units[f].out_queue:
@@ -506,24 +518,24 @@ class SimState:
         # 5. live-in injection, in thread order, while there is room
         if inject:
             for inj in inject:
-                i, slot, lv, tid, limit, held = inj
+                i, slot, tid, limit, held = inj
                 u = units[i]
-                buf = u.buffers[slot]
-                while tid < limit and len(buf) + u.reserved[slot] < depth:
-                    self._put(u, slot, tid, lv.value_for(tid))
+                while tid < limit and u.buffers[slot] + u.reserved[slot] < depth:
+                    self._put(u, slot, tid)
                     tid += 1
-                if tid != inj[3]:
+                if tid != inj[2]:
                     progress = True
                     woken.add(i)
-                    inj[3] = tid
+                    inj[2] = tid
                     if tid == limit:
                         u.injectors.remove(inj)
-                        for t, value in held.items():  # the carried tokens held back
-                            self._put(u, slot, t, value)
+                        for t in held:  # the carried tokens held back
+                            self._put(u, slot, t)
             inject.clear()
 
         if not (progress or arrivals or completions or self.done()):
-            pending = {n: len(v) for n, v in self.liveout_vals.items()}
+            # nothing is in flight, so each live-out has completed every thread it fired
+            pending = {nid: u.fires for nid, u in self._outs.items()}
             raise DeadlockError(c, f"live-out progress stuck at {pending}")
         if log is not None and self._missing:
             self._watch()
@@ -539,17 +551,16 @@ class SimState:
         """The state as far as timing reads it, less the load count that
         ``_watch`` keys on: every thread id counted from a fire count (the
         unit's own for what it injects or completes, the receiving unit's for
-        an arrival), a buffer or out-queue, always a run of consecutive ids,
-        by its length, event times relative to the cycle, the units to visit
-        next, no values."""
+        an arrival), buffer counts, out-queue lengths, event times relative to
+        the cycle and the units to visit next."""
         c = self.cycle
         units = self.units
-        state = [(list(map(len, u.buffers)), tuple(u.reserved), len(u.out_queue),
-                  [(inj[1], inj[3] - u.fires) for inj in u.injectors], u.since is None)
+        state = [(tuple(u.buffers), tuple(u.reserved), len(u.out_queue),
+                  [(inj[1], inj[2] - u.fires) for inj in u.injectors], u.since is None)
                  for u in units]
-        state.append([(a - c, [(i, s, t - units[i].fires, r) for i, s, t, _, r in es])
+        state.append([(a - c, [(i, s, t - units[i].fires, r) for i, s, t, r in es])
                       for a, es in sorted(self.arrivals.items())])
-        state.append([(a - c, [(u.index, t - u.fires) for u, t, _ in es])
+        state.append([(a - c, [(u.index, t - u.fires) for u, t in es])
                       for a, es in sorted(self.completions.items())])  # cycles are unique keys
         state.append((sorted(self._wake), sorted(self._emit)))
         return state
@@ -602,15 +613,14 @@ class SimState:
         there leaves no m, so none happens in a skipped period.  Nothing is
         skipped while a seeding slot holds back carried tokens, or while a
         unit with k > 0 has not yet fired past a back slot's diff, so every
-        operand of a replayed thread t is row[t - diff]: its producer's
-        results or, on a plain live-in slot, the live-in's column.  Only
-        operator fires are replayed, 64 periods to a block; const rows are
-        filled by slice."""
+        operand of a replayed thread t is row[t - diff].  The replay writes
+        the operator fires' results into the rows, 64 periods to a block;
+        the tokens in flight only move their ids."""
         _, _, cycle0, fires0, stalls0, missing0, issues0 = saved
         n = self.params.n_threads
         units = self.units
         fires = self._log
-        if not fires or any(inj[5] for u in units for inj in u.injectors):
+        if not fires or any(inj[4] for u in units for inj in u.injectors):
             return False
         period = self.cycle - cycle0
         shift = [u.fires - f for u, f in zip(units, fires0)]  # unit index -> thread shift
@@ -622,96 +632,46 @@ class SimState:
                 diff = max((d for _, _, d, _ in u.carriers), default=0)
                 m = min(m, (n - u.fires - diff) // k)
                 for inj in u.injectors:
-                    m = min(m, (inj[4] - 1 - inj[3]) // k)
+                    m = min(m, (inj[3] - 1 - inj[2]) // k)
         produced = missing0 - self._missing  # live-out values per period
         if produced:
             m = min(m, (self._missing - 1) // produced)
         if m < 1:
             return False
-        # every token in flight repeats, so a producer fires as often as its consumer
-        for u in units:
-            for p, _, _ in u.sources:
-                if p is not None and shift[p] != shift[u.index]:
-                    raise SimInvariantError(f"node {u.node.id} shifts by {shift[u.index]}, "
-                                            f"its producer {units[p].node.id} by {shift[p]}")
-
-        # values: replay the period's operator fires m times, shifted, in order
-        results = [[None] * n for _ in units]  # unit index -> thread id -> result
-        # unit index -> smallest id in flight as its result: after period j
-        # every result still to be read has an id of at least low + j*k, since
-        # what is in flight then is what is in flight now, shifted
+        # unit index -> the lowest id of its row a consumer still reads; every
+        # token in flight repeats, so a producer fires as often as its consumer
         low = [u.fires for u in units]
-        if self._columns is None:
-            self._columns = {lv.name: list(map(lv.value_for, range(n)))
-                             for u in units for p, _, lv in u.sources if p is None}
-        # unit index -> per slot (row, diff), padded to two slots with a row of
-        # None: operand t of a unit with k > 0 is row[t - diff]
-        nones = [None] * n
-        rows = [[(self._columns[lv.name], 0) if p is None else (results[p], d)
-                 for p, d, lv in u.sources] + [(nones, 0)] * (2 - u.arity) for u in units]
-
-        def operand(i, slot, t):
-            row, d = rows[i][slot]
-            return row[t - d]
-
-        def keep(p, t, value):
-            # t < 0: a seed still buffered at a unit with k = 0
-            low[p] = min(low[p], t)
-            if t >= 0:
-                results[p][t] = value
-
-        def note(i, slot, t, value):
-            p, d, _ = units[i].sources[slot]
-            if p is not None:
-                keep(p, t - d, value)
-
         for u in units:
-            for slot, buf in enumerate(u.buffers):
-                for t, value in buf.items():
-                    note(u.index, slot, t, value)
-            for t, value in u.out_queue:
-                keep(u.index, t, value)
-        for es in self.arrivals.values():
-            for i, slot, t, value, _ in es:
-                note(i, slot, t, value)
-        for es in self.completions.values():
-            for u, t, value in es:
-                keep(u.index, t, value)
-                if u.liveout is not None:
-                    u.liveout[t] = value
-        # a const touches no memory and never raises: its row and live-out are
-        # filled for the whole skipped range instead of replayed
-        for u, k in zip(units, shift):
-            if u.is_const and k:
-                top = u.fires + m * k
-                results[u.index][u.fires:top] = [u.node.value] * (m * k)
-                if u.liveout is not None:
-                    u.liveout.update(dict.fromkeys(range(u.fires, top), u.node.value))
-        # per operator fire: thread id and shift, result row, op, each
-        # operand's (row, diff)
-        plan = [(t, shift[i], results[i], units[i].op, *rows[i][0], *rows[i][1])
-                for i, t in fires if not units[i].is_const]
-        # an operator live-out unit's values are written once per block: the
-        # ids it fires in periods j0+1..j1 are fires + j0*k .. fires + j1*k - 1
-        outs = [(u.liveout, results[u.index], u.fires, k) for u, k in zip(units, shift)
-                if k and u.liveout is not None and not u.is_const]
-        memory = self.memory
+            for p, d, _ in u.sources:
+                if p is not None:
+                    if shift[p] != shift[u.index]:
+                        raise SimInvariantError(f"node {u.node.id} shifts by {shift[u.index]}, "
+                                                f"its producer {units[p].node.id} by {shift[p]}")
+                    low[p] = min(low[p], u.fires - d)
+
+        # values: replay the period's operator fires m times, shifted, in order;
+        # per fire: thread id and shift, result row, op, each operand's (row, diff)
+        plan = []
+        for i, t in fires:
+            u = units[i]
+            if not u.is_const:
+                (ra, da, _), (rb, db, _) = u.ins
+                plan.append((t, shift[i], u.row, u.op, ra, da, rb, db))
+        # after period j a consumer reads u's row from low + j*k on
+        drops = [(u.row, low[u.index], k) for u, k in zip(units, shift) if k and not u.liveout]
+        memory, nones = self.memory, self._nones
         for j0 in range(0, m, 64):
             j1 = min(j0 + 64, m)
             for j in range(j0 + 1, j1 + 1):
                 for t, k, res, op, ra, da, rb, db in plan:
                     t += j * k
                     res[t] = op(ra[t - da], rb[t - db], memory)
-            for out, res, top, k in outs:
-                start = top + j0 * k
-                out.update(enumerate(res[start:top + j1 * k], start))
             if j1 - j0 == 64:  # drop the results nothing can read any more
-                for res, lo, k in zip(results, low, shift):
+                for res, lo, k in drops:
                     start, stop = max(lo + j0 * k, 0), max(lo + j1 * k, 0)
                     res[start:stop] = nones[start:stop]
 
-        # the state m periods on: ids shifted by m*k, times by m*period; a
-        # unit with k = 0 keeps its buffers, which may hold seeds
+        # the state m periods on: ids shifted by m*k, times by m*period
         D = m * period
         K = [m * k for k in shift]  # unit index -> id shift
         for u in units:
@@ -721,16 +681,12 @@ class SimState:
             if u.since is not None:
                 u.since += D
             if K[i]:
-                u.buffers = [{t + K[i]: operand(i, slot, t + K[i]) for t in buf}
-                             for slot, buf in enumerate(u.buffers)]
-                u.out_queue = deque((t + K[i], results[i][t + K[i]]) for t, _ in u.out_queue)
+                u.out_queue = deque(t + K[i] for t in u.out_queue)
             for inj in u.injectors:
-                inj[3] += K[i]
-        self.arrivals = {a + D: [(i, slot, t + K[i], operand(i, slot, t + K[i]), r)
-                                 for i, slot, t, _, r in es]
+                inj[2] += K[i]
+        self.arrivals = {a + D: [(i, slot, t + K[i], r) for i, slot, t, r in es]
                          for a, es in self.arrivals.items()}
-        self.completions = {a + D: [(u, t + K[u.index], results[u.index][t + K[u.index]])
-                                    for u, t, _ in es]
+        self.completions = {a + D: [(u, t + K[u.index]) for u, t in es]
                             for a, es in self.completions.items()}
         self.issue_runs.append((len(self.primary_issues), self.primary_issues[issues0:],
                                 period, m))
@@ -757,8 +713,8 @@ class SimState:
         live = [{} for _ in range(n)]
         # one live-out column at a time: a dict comprehension per thread
         # took about three times as long at 4096 threads
-        for nid in self.dfg.live_out:
-            for row, v in zip(live, map(self.liveout_vals[nid].__getitem__, range(n))):
+        for nid, u in self._outs.items():
+            for row, v in zip(live, u.row):
                 row[nid] = v
         count = len(self.primary_issues) + sum(len(r[1]) * r[3] for r in self.issue_runs)
         ii = None

@@ -220,6 +220,21 @@ def test_sweep_refuses_an_unknown_override(fixtures, tmp_path):
     assert proc.stderr == "error: unknown machine override 'bogus'\n"
 
 
+@pytest.mark.parametrize("doc", [{"threads": [8.5]},
+                                 {"threads": [8], "overrides": {"spill_latency": 1.5}}],
+                         ids=["float-threads", "float-spill"])
+def test_sweep_refuses_non_integer_machine_parameters(fixtures, tmp_path, doc):
+    # these used to deadlock, or print a curve with fractional cycles
+    exp = tmp_path / "exp.json"
+    exp.write_text(json.dumps({"dfg": str(fixtures / "scenario1.dfg"), **doc}))
+    proc = subprocess.run(CLI + ["sweep", "--exp", str(exp), "--out", "-"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "must be an integer" in lines[0]
+
+
 def test_livein_on_fed_slot_exits_nonzero(tmp_path):
     # the simulator never validates, so the parser must refuse the second feeder
     path = tmp_path / "g.dfg"

@@ -73,11 +73,24 @@ def test_grid_spec_rejects_latencies_the_simulator_cannot_schedule(bad):
     {"rows": 2, "cols": 2, "unit_map": {"0,0": "LDST", "5,5": "COMPUTE"}},
     {"unit_map": {"0,-1": "COMPUTE"}},
     {"unit_map": {"0,0": "GPU"}},
+    {"row": 3},
+    {"unit_map": {"00": "LDST"}},
 ], ids=["list", "unit-map-list", "latencies-list", "string-latency", "unknown-latency",
-        "string-depth", "float-hop", "no-rows", "cell-outside", "negative-cell", "unknown-class"])
+        "string-depth", "float-hop", "no-rows", "cell-outside", "negative-cell", "unknown-class",
+        "unknown-key", "cell-without-comma"])
 def test_grid_spec_rejects_malformed_documents(doc):
-    # each used to load silently or fail with AttributeError or TypeError
+    # each used to load silently or fail with AttributeError, TypeError or an
+    # unpacking error that named neither the key nor the field
     with pytest.raises(ValueError):
+        GridSpec.from_json(doc)
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"rows": 4, "row": 3}, "row"),
+    ({"unit_map": {"0,0": "LDST", "00": "LDST"}}, "00"),
+])
+def test_grid_spec_errors_name_the_bad_key(doc, key):
+    with pytest.raises(ValueError, match=repr(key)):
         GridSpec.from_json(doc)
 
 

@@ -217,6 +217,15 @@ def test_validate_missing_livein_is_warning():
     assert hits and all(v.severity == "error" for v in hits)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.integers(), st.floats(allow_nan=False)), min_size=1, max_size=6),
+       st.integers(min_value=0, max_value=12))
+def test_livein_column_matches_value_for(values, n):
+    # the simulator reads a plain live-in's operands from this column
+    lv = LiveIn("x", 0, 0, tuple(values))
+    assert lv.column(n) == [lv.value_for(t) for t in range(n)]
+
+
 # ---------------------------------------------------------------- round trips
 
 def test_format_parse_round_trip_fixtures(fixtures):

@@ -41,6 +41,15 @@ def test_params_validation():
         with pytest.raises(ValueError):
             MachineParams(mode="dr", n_threads=4, mem_max_outstanding=bad)
     assert MachineParams(mem_max_outstanding=1).mem_max_outstanding == 1
+    assert MachineParams(mem_max_outstanding=None).mem_max_outstanding is None
+    # a float spill latency used to run and print fractional cycles, and a
+    # float thread count to deadlock
+    for field in ("n_threads", "mem_latency", "spill_latency", "mem_max_outstanding"):
+        for bad in (8.5, 2.0, True, "4"):
+            with pytest.raises(ValueError, match=field):
+                MachineParams(mode="dr", **{field: bad})
+    with pytest.raises(ValueError, match="n_threads"):
+        MachineParams(n_threads=None)
 
 
 # ---------------------------------------------------------------- cadence

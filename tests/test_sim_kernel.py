@@ -208,9 +208,10 @@ def test_carried_tokens_wait_for_the_seeds(name, mode):
 
 @pytest.mark.parametrize("max_diff", [3, 12])
 def test_buffers_hold_the_next_threads_in_order(monkeypatch, max_diff):
-    # the fast-forward's signature keeps only a buffer's and an out-queue's
-    # length: that needs every buffer to hold range(fires, fires + len) and
-    # the ids fired but not yet emitted to run up to the fire count
+    # a buffer is a count and an out-queue holds ids only: that needs the
+    # tokens still to enter each slot (seeds to inject, held carried tokens,
+    # arrivals in arrival order) to continue its buffer's run of ids, and the
+    # ids fired but not yet emitted to run up to the fire count
     skips = 0
     skip = sim.SimState._skip
 
@@ -231,15 +232,35 @@ def test_buffers_hold_the_next_threads_in_order(monkeypatch, max_diff):
             state.step()
             pending = {}
             for es in state.completions.values():
-                for u, t, _ in es:
+                for u, t in es:
                     pending.setdefault(u.index, []).append(t)
+            coming = {}  # (unit index, slot) -> arriving ids, in arrival order
+            for _, es in sorted(state.arrivals.items()):
+                for i, s, t, _ in es:
+                    coming.setdefault((i, s), []).append(t)
             for u in state.units:
-                for buf in u.buffers:
-                    assert sorted(buf) == list(range(u.fires, u.fires + len(buf))), seed
-                unemitted = [t for t, _ in u.out_queue] + sorted(pending.get(u.index, ()))
+                for s, count in enumerate(u.buffers):
+                    later = [t for inj in u.injectors if inj[1] == s
+                             for t in (*range(inj[2], inj[3]), *inj[4])]
+                    later += coming.get((u.index, s), [])
+                    start = u.fires + count
+                    assert later == list(range(start, start + len(later))), seed
+                unemitted = list(u.out_queue) + sorted(pending.get(u.index, ()))
                 if u.emits:
                     assert unemitted == list(range(u.fires - len(unemitted), u.fires)), seed
     assert skips
+
+
+def test_a_token_out_of_thread_order_is_refused(fixtures):
+    g = load_dfg(str(fixtures / "scenario1.dfg"))
+    state = sim.SimState(map_graph(g), g, MachineParams(mode="dr", n_threads=8))
+    u = next(u for u in state.units if u.arity)
+    sim.SimState._put(u, 0, 0)
+    for tid in (0, 2):  # a repeat and a gap: the slot's next thread is 1
+        with pytest.raises(sim.SimInvariantError, match="expected 1"):
+            sim.SimState._put(u, 0, tid)
+    sim.SimState._put(u, 0, 1)
+    assert u.buffers[0] == 2
 
 
 NON_FINITE_LATE = """
@@ -440,8 +461,8 @@ def test_fast_forward_waits_until_a_seeded_unit_passes_its_diff(mode):
         assert [row[2] for row in rep.live_out] == [row[2] for row in reference_execute(g, n)]
 
 
-# a fast-forward fills a const's results for the whole skipped range instead
-# of replaying its fires; each graph reads those results another way
+# a const's row is filled when the run starts and a fast-forward never replays
+# its fires; each graph reads those results another way
 CONST_READERS = {
     "const-live-out": """
 node 0 const 7

@@ -1,8 +1,10 @@
-"""Source hygiene: every name a module imports is used in it, and no module
-reads the environment (the program has no hidden switches)."""
+"""Source hygiene: every name a module imports is used in it, no module
+reads the environment (the program has no hidden switches), and README's
+error table lists exactly the codes the package raises."""
 
 import ast
 import pathlib
+import re
 
 import pytest
 
@@ -39,3 +41,23 @@ def environment_reads(source: str) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_environment_reads(path):
     assert environment_reads(path.read_text(encoding="utf-8")) == []
+
+
+CODED = ("DfgError", "ExecError", "MapError", "IIOracleError", "Violation")
+
+
+def coded_errors(source: str) -> set[tuple[str, str]]:
+    """(exception, code) for each call of a coded error with a literal code."""
+    return {(node.func.id, node.args[0].value) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in CODED and node.args
+            and isinstance(node.args[0], ast.Constant)}
+
+
+def test_readme_lists_every_error_code():
+    readme = (SRC.parent.parent / "README.md").read_text(encoding="utf-8")
+    table = set(re.findall(r"^\| `(\w+)` \| `([a-z-]+)` \|", readme, re.MULTILINE))
+    raised = set().union(*(coded_errors(p.read_text(encoding="utf-8")) for p in MODULES))
+    assert len(raised) > 30
+    assert sorted(raised - table) == []  # raised but not documented
+    assert sorted(table - raised) == []  # documented but never raised
