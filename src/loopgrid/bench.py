@@ -11,13 +11,15 @@ deterministic byte-for-byte for identical inputs.
 from __future__ import annotations
 
 import json
+import math
 import os
+import sys
 from dataclasses import dataclass, field, fields
 
 # sim first: compiling the largest module before the others exist keeps
 # the peak resident set of a process that imports bench lower
 from .sim import MachineParams, simulate
-from .grid import GridSpec, load_grid, map_graph
+from .grid import GridSpec, _require_int, load_grid, map_graph
 from .ir import load_dfg
 
 DEFAULT_THREADS = (8, 32, 128, 512)
@@ -31,12 +33,18 @@ class Experiment:
     overrides: dict = field(default_factory=dict)  # MachineParams field overrides
 
     def __post_init__(self):
+        if not isinstance(self.threads, (list, tuple)):
+            raise ValueError(f"'threads' must be a list, got {self.threads!r}")
+        for t in self.threads:
+            _require_int("a 'threads' entry", t, 1)
+        if not isinstance(self.overrides, dict):
+            raise ValueError(f"'overrides' must be a JSON object, got {self.overrides!r}")
         self.threads = tuple(self.threads)
         if list(self.threads) != sorted(set(self.threads)):
             raise ValueError("thread counts must be strictly increasing")
-        if not os.path.exists(self.dfg):
+        if not os.path.isfile(self.dfg):
             raise FileNotFoundError(self.dfg)
-        if self.grid is not None and not os.path.exists(self.grid):
+        if self.grid is not None and not os.path.isfile(self.grid):
             raise FileNotFoundError(self.grid)
         # mode and n_threads are what a sweep varies; they cannot be overridden
         allowed = {f.name for f in fields(MachineParams)} - {"mode", "n_threads"}
@@ -46,8 +54,24 @@ class Experiment:
 
 
 def load_experiment(path: str) -> Experiment:
+    """Read an experiment file: a JSON object with a string ``dfg``, and
+    optionally a string ``grid``, a ``threads`` list and an ``overrides``
+    object.  Paths resolve relative to the file; any other document, key
+    or value type raises ``ValueError`` naming the key."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"experiment file must be a JSON object, got {type(doc).__name__}")
+    known = {f.name for f in fields(Experiment)}
+    for key in doc:
+        if key not in known:
+            raise ValueError(f"unknown experiment key {key!r}")
+    if "dfg" not in doc:
+        raise ValueError("experiment file has no 'dfg' key")
+    if not isinstance(doc["dfg"], str):
+        raise ValueError(f"'dfg' must be a path string, got {doc['dfg']!r}")
+    if not isinstance(doc.get("grid"), (str, type(None))):
+        raise ValueError(f"'grid' must be a path string or null, got {doc['grid']!r}")
     base = os.path.dirname(os.path.abspath(path))
 
     def resolve(p):
@@ -56,7 +80,7 @@ def load_experiment(path: str) -> Experiment:
     return Experiment(
         dfg=resolve(doc["dfg"]),
         grid=resolve(doc.get("grid")),
-        threads=tuple(doc.get("threads", DEFAULT_THREADS)),
+        threads=doc.get("threads", DEFAULT_THREADS),
         overrides=doc.get("overrides", {}),
     )
 
@@ -101,9 +125,14 @@ def sweep(exp: Experiment) -> SpeedupCurve:
 
 
 def weighted_speedup(speedups: dict[str, float], weights: dict[str, float]) -> float:
-    """Time-weighted (harmonic) combination of per-fixture speedups."""
+    """Time-weighted (harmonic) combination of per-fixture speedups.
+    Weights too small or too large for a finite result raise ValueError."""
     total_w = sum(weights[k] for k in speedups)
-    return total_w / sum(weights[k] / speedups[k] for k in speedups)
+    inverse = sum(weights[k] / speedups[k] for k in speedups)
+    combined = total_w / inverse if inverse else math.nan
+    if not math.isfinite(combined):
+        raise ValueError(f"weights {weights!r} give no finite weighted speedup")
+    return combined
 
 
 @dataclass
@@ -128,6 +157,31 @@ class SuiteSummary:
         return "\n".join(lines) + "\n"
 
 
+def _load_weights(path: str, names: list[str]) -> dict[str, float]:
+    """Read ``weights.json``: an object mapping each fixture stem in
+    ``names`` to a finite, non-negative number, with a positive sum.  Any
+    other document raises ``ValueError`` naming the key."""
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"weights.json must be a JSON object, got {type(doc).__name__}")
+    weights = {}
+    for name, w in doc.items():
+        if name not in names:
+            raise ValueError(f"weights.json weighs {name!r}, which is not a fixture here")
+        if isinstance(w, bool) or not isinstance(w, (int, float)):
+            raise ValueError(f"weight of {name!r} must be a number, got {w!r}")
+        if not 0 <= w <= sys.float_info.max:  # false for NaN as well
+            raise ValueError(f"weight of {name!r} must be finite and non-negative, got {w!r}")
+        weights[name] = float(w)
+    missing = [n for n in names if n not in weights]
+    if missing:
+        raise ValueError(f"weights.json missing entries for {missing}")
+    if not 0 < sum(weights.values()) < math.inf:
+        raise ValueError(f"weights.json weights must have a positive, finite sum, got {doc!r}")
+    return weights
+
+
 def suite(fixture_dir: str, threads=DEFAULT_THREADS, grid: GridSpec | None = None,
           overrides: dict | None = None) -> SuiteSummary:
     """Run every .dfg fixture in a directory; weights come from weights.json
@@ -141,11 +195,7 @@ def suite(fixture_dir: str, threads=DEFAULT_THREADS, grid: GridSpec | None = Non
     if uniform:
         weights = {n: 1.0 / len(names) for n in names}
     else:
-        with open(weights_path, encoding="utf-8") as fh:
-            weights = {n: float(w) for n, w in json.load(fh).items()}
-        missing = [n for n in names if n not in weights]
-        if missing:
-            raise KeyError(f"weights.json missing entries for {missing}")
+        weights = _load_weights(weights_path, names)
 
     speedups: dict[str, dict[int, float]] = {}
     for name in names:

@@ -214,31 +214,51 @@ def place(g: DataflowGraph, spec: GridSpec) -> dict[int, tuple[int, int]]:
 
     Nodes are taken in BFS order from the graph sources; each goes to the
     free class-correct cell minimizing summed manhattan distance to its
-    already-placed intra predecessors (ties: lowest (row, col)).
+    already-placed intra predecessors (ties: lowest (row, col)).  That sum
+    separates into a row cost and a column cost, see ``_nearest``; a node
+    with no placed predecessor takes its class's first free cell.
     """
+    free: dict[str, list[tuple[int, int]]] = {cls: [] for cls in UNIT_CLASSES}
+    for cell, cls in spec.unit_map.items():
+        free[cls].append(cell)
+    for cells in free.values():
+        cells.sort()
     need: dict[str, int] = {}
     for nd in g.nodes:
         need[kind_class(nd.kind)] = need.get(kind_class(nd.kind), 0) + 1
     for cls, cnt in sorted(need.items()):
-        if cnt > len(spec.cells_of(cls)):
+        if cnt > len(free[cls]):
             raise MapError("capacity-exceeded",
-                           f"{cnt} {cls} nodes but only {len(spec.cells_of(cls))} cells")
+                           f"{cnt} {cls} nodes but only {len(free[cls])} cells")
 
     order = _bfs_order(g)
     preds: dict[int, list[int]] = {nd.id: [] for nd in g.nodes}
     for e in g.intra_edges():
         preds[e.dst].append(e.src)
 
-    free = {cls: list(spec.cells_of(cls)) for cls in UNIT_CLASSES}
     placement: dict[int, tuple[int, int]] = {}
     for nid in order:
-        cls = kind_class(g.node(nid).kind)
+        cells = free[kind_class(g.node(nid).kind)]
         anchors = [placement[p] for p in preds[nid] if p in placement]
-        best = min(free[cls],
-                   key=lambda cell: (sum(manhattan(cell, a) for a in anchors), cell))
-        free[cls].remove(best)
-        placement[nid] = best
+        placement[nid] = cells.pop(_nearest(cells, anchors, spec))
     return placement
+
+
+def _nearest(cells: list[tuple[int, int]], anchors: list[tuple[int, int]],
+             spec: GridSpec) -> int:
+    """Index in ``cells`` (sorted, non-empty) of the cell with the least
+    summed manhattan distance to ``anchors``; the lowest (row, col) wins a
+    tie.  Cell (r, c) costs ``row_cost[r] + col_cost[c]``, where
+    ``row_cost[r] = sum(|r - a_row|)`` and ``col_cost[c] = sum(|c - a_col|)``
+    over the anchors, so each cost list is built once per search."""
+    if not anchors:
+        return 0
+    row_cost, col_cost = [0] * spec.rows, [0] * spec.cols
+    for a, b in anchors:
+        row_cost = [x + abs(r - a) for r, x in enumerate(row_cost)]
+        col_cost = [x + abs(c - b) for c, x in enumerate(col_cost)]
+    costs = [row_cost[r] + col_cost[c] for r, c in cells]
+    return costs.index(min(costs))
 
 
 def _bfs_order(g: DataflowGraph) -> list[int]:
@@ -326,9 +346,7 @@ def attach_feedback(g: DataflowGraph, deps: list[LoopCarriedDep],
             pc, cc = placement[dep.producer], placement[dep.consumer]
             if not free_compute:
                 raise MapError("capacity-exceeded", "no free COMPUTE cell for update node")
-            cell = min(free_compute,
-                       key=lambda x: (manhattan(x, pc) + manhattan(x, cc), x))
-            free_compute.remove(cell)
+            cell = free_compute.pop(_nearest(free_compute, [pc, cc], spec))
             att.eor_node = next_id
             next_id += 1
             att.eor_cell = cell

@@ -117,3 +117,73 @@ def test_sweep_raises_the_typed_error(data_dir):
     with pytest.raises(DfgError) as exc:
         sweep(Experiment(dfg=str(data_dir / "intra_cycle.dfg"), threads=(8, 32)))
     assert exc.value.code == "intra-cycle"
+
+
+@pytest.mark.parametrize("doc, key", [
+    (["scenario1.dfg"], "list"),
+    ({"threads": [8]}, "'dfg'"),
+    ({"dfg": "scenario1.dfg", "thread": [8]}, "'thread'"),
+    ({"dfg": 5}, "'dfg'"),
+    ({"dfg": "scenario1.dfg", "grid": ["g.json"]}, "'grid'"),
+    ({"dfg": "scenario1.dfg", "threads": [[1]]}, "'threads'"),
+    ({"dfg": "scenario1.dfg", "threads": [8, True]}, "'threads'"),
+    ({"dfg": "scenario1.dfg", "threads": [0, 8]}, "'threads'"),
+    ({"dfg": "scenario1.dfg", "threads": 8}, "'threads'"),
+    ({"dfg": "scenario1.dfg", "overrides": [["spill_latency", 4]]}, "'overrides'"),
+], ids=["list", "no-dfg", "unknown-key", "int-dfg", "list-grid", "nested-threads",
+        "bool-thread", "zero-thread", "scalar-threads", "list-overrides"])
+def test_load_experiment_refuses_malformed_documents(fixtures, tmp_path, doc, key):
+    # each used to raise KeyError, TypeError or load silently with default threads
+    path = tmp_path / "exp.json"
+    (tmp_path / "scenario1.dfg").write_text((fixtures / "scenario1.dfg").read_text())
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=key):
+        load_experiment(str(path))
+
+
+def test_load_experiment_keeps_a_null_grid(fixtures, tmp_path):
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({"dfg": str(fixtures / "scenario1.dfg"), "grid": None}))
+    exp = load_experiment(str(path))
+    assert (exp.grid, exp.threads) == (None, DEFAULT_THREADS)
+
+
+def _suite_dir(fixtures, tmp_path, weights) -> str:
+    for name in ("scenario1.dfg", "scenario2.dfg"):
+        (tmp_path / name).write_text((fixtures / name).read_text())
+    (tmp_path / "weights.json").write_text(json.dumps(weights))
+    return str(tmp_path)
+
+
+@pytest.mark.parametrize("weights, key", [
+    ([0.5, 0.5], "list"),
+    ({"scenario1": True, "scenario2": 0.5}, "'scenario1'"),
+    ({"scenario1": "0.5", "scenario2": 0.5}, "'scenario1'"),
+    ({"scenario1": None, "scenario2": 0.5}, "'scenario1'"),
+    ({"scenario1": float("nan"), "scenario2": 0.5}, "'scenario1'"),
+    ({"scenario1": float("inf"), "scenario2": 0.5}, "'scenario1'"),
+    ({"scenario1": -1, "scenario2": 1}, "'scenario1'"),
+    ({"scenario1": 10 ** 400, "scenario2": 1}, "'scenario1'"),
+    ({"scenario1": 0, "scenario2": 0.0}, "sum"),
+    ({"scenario1": 1e308, "scenario2": 1e308}, "sum"),
+    ({"scenario1": 0.5, "scenario2": 0.5, "scenario9": 0.1}, "'scenario9'"),
+    ({"scenario1": 1.0}, "'scenario2'"),
+], ids=["list", "bool", "string", "null", "nan", "inf", "negative", "huge-int", "zero-sum",
+        "overflowing-sum", "unknown-fixture", "missing-fixture"])
+def test_suite_refuses_malformed_weights(fixtures, tmp_path, weights, key):
+    # each used to raise AttributeError, ZeroDivisionError or KeyError, or to
+    # print a weighted speedup of 0.0 or nan
+    with pytest.raises(ValueError, match=key):
+        suite(_suite_dir(fixtures, tmp_path, weights), threads=(8,))
+
+
+def test_suite_accepts_integer_and_zero_weights(fixtures, tmp_path):
+    s = suite(_suite_dir(fixtures, tmp_path, {"scenario1": 0, "scenario2": 3}), threads=(8,))
+    assert s.weights == {"scenario1": 0.0, "scenario2": 3.0}
+    assert s.weighted[8] == pytest.approx(s.speedups["scenario2"][8])
+
+
+def test_weighted_speedup_refuses_weights_with_no_finite_result():
+    # a subnormal weight over a speedup above one underflows to zero
+    with pytest.raises(ValueError, match="weights"):
+        weighted_speedup({"a": 4.0}, {"a": 5e-324})

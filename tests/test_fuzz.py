@@ -1,13 +1,22 @@
-"""Mutated input text: every defect must surface as the documented error type.
+"""Mutated inputs: every defect must surface as the documented error type.
 
-Each example applies 1-4 single-character inserts, deletes or replaces to a
-bundled fixture or to an inline streaming trace, so most mutants sit one typo
-away from a valid file.
+Each text example applies 1-4 single-character inserts, deletes or replaces
+to a bundled fixture, an inline streaming trace or a JSON input, so most
+mutants sit one typo away from a valid file.  The JSON inputs are also
+mutated as structures: members set to drawn JSON values, deleted, or the
+document wrapped in a list.
 """
+
+import copy
+import json
+import pathlib
+import shutil
+import tempfile
 
 from hypothesis import given, settings, strategies as st
 
 from conftest import FIXTURES
+from loopgrid.bench import load_experiment, suite
 from loopgrid.grid import MapError, map_graph
 from loopgrid.ir import DfgError, ExecError, parse_dfg
 from loopgrid.sim import DeadlockError, MachineParams, simulate
@@ -37,10 +46,15 @@ TRC_TEXTS = [p.read_text() for p in sorted((FIXTURES / "traces").glob("*.trc"))]
 # characters the two formats give meaning to, plus a few they do not
 ALPHABET = "0123456789 \n\t#,-+.xeinfa_z"
 
-EDITS = st.lists(st.tuples(st.sampled_from(["insert", "delete", "replace"]),
-                           st.integers(min_value=0, max_value=10_000),
-                           st.sampled_from(ALPHABET)),
-                 min_size=1, max_size=4)
+
+def text_edits(alphabet: str):
+    return st.lists(st.tuples(st.sampled_from(["insert", "delete", "replace"]),
+                              st.integers(min_value=0, max_value=10_000),
+                              st.sampled_from(alphabet)),
+                    min_size=1, max_size=4)
+
+
+EDITS = text_edits(ALPHABET)
 
 
 def mutate(text: str, edits) -> str:
@@ -76,3 +90,80 @@ def test_mutated_trace_text_raises_only_trace_error(text, edits):
         prevalence_report(ingest(mutate(text, edits).splitlines()))
     except TraceError:
         pass
+
+
+EXPERIMENT = {"dfg": "scenario1.dfg", "grid": None, "threads": [8, 32],
+              "overrides": {"spill_latency": 4}}
+WEIGHTS = json.loads((FIXTURES / "suite" / "weights.json").read_text())
+JSON_ALPHABET = '{}[]":,0123456789.-+eE tnrufalsNIy_'
+# keys of both documents, a few near misses, and MachineParams fields
+KEYS = st.sampled_from(["dfg", "grid", "threads", "overrides", "thread", "spill_latency",
+                        "mem_latency", "mode", "scenario1", "scenario4", "scenario9", ""])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(KEYS, inner, max_size=3),
+    max_leaves=6)
+STRUCT_EDITS = st.lists(st.tuples(st.sampled_from(["set", "set", "delete", "wrap"]),
+                                  st.integers(min_value=0, max_value=100), KEYS, JSON_VALUES),
+                        min_size=1, max_size=3)
+
+
+def _containers(doc) -> list:
+    members = doc.values() if isinstance(doc, dict) else doc if isinstance(doc, list) else ()
+    return ([doc] if isinstance(doc, (dict, list)) else []) + [
+        box for v in members for box in _containers(v)]
+
+
+def mutate_structure(doc, edits):
+    doc = copy.deepcopy(doc)
+    for op, pick, key, value in edits:
+        boxes = _containers(doc)
+        if op == "wrap" or not boxes:
+            doc = [doc] if op == "wrap" else value
+            continue
+        box = boxes[pick % len(boxes)]
+        if op == "set" and isinstance(box, dict):
+            box[key] = value
+        elif op == "set" and box:
+            box[pick % len(box)] = value
+        elif op == "set":
+            box.append(value)
+        elif box:
+            del box[list(box)[pick % len(box)] if isinstance(box, dict) else pick % len(box)]
+    return doc
+
+
+def _json_mutant(doc, edits, as_text: bool) -> str:
+    if as_text:
+        return mutate(json.dumps(doc), edits)
+    return json.dumps(mutate_structure(doc, edits))
+
+
+JSON_MUTANTS = st.one_of(st.tuples(text_edits(JSON_ALPHABET), st.just(True)),
+                         st.tuples(STRUCT_EDITS, st.just(False)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_MUTANTS)
+def test_mutated_experiment_file_raises_only_value_errors(mutant):
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copy(FIXTURES / "scenario1.dfg", tmp)
+        path = pathlib.Path(tmp) / "exp.json"
+        path.write_text(_json_mutant(EXPERIMENT, *mutant))
+        try:
+            load_experiment(str(path))
+        except (ValueError, DfgError, FileNotFoundError):
+            pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_MUTANTS)
+def test_mutated_weights_raise_only_value_errors(mutant):
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in WEIGHTS:
+            shutil.copy(FIXTURES / "suite" / f"{name}.dfg", tmp)
+        (pathlib.Path(tmp) / "weights.json").write_text(_json_mutant(WEIGHTS, *mutant))
+        try:
+            suite(tmp, threads=(1,))
+        except (ValueError, DfgError, FileNotFoundError):
+            pass

@@ -1,18 +1,21 @@
 """Placement, routing, and feedback attachment on the unit grid."""
 
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from loopgrid.analysis import find_deps
+from loopgrid.analysis import LoopPattern, classify, find_deps
 from loopgrid.grid import (
     COMPUTE,
     CONTROL,
     LDST,
     SJU,
+    UNIT_CLASSES,
     GridSpec,
     MapError,
+    _bfs_order,
     attach_feedback,
     default_grid,
     kind_class,
@@ -25,6 +28,9 @@ from loopgrid.ir import DfgError, load_dfg, parse_dfg, reference_execute
 from loopgrid.sim import MachineParams, simulate
 
 from _random_graphs import random_dfg
+from conftest import FIXTURES
+
+FIXTURE_DFGS = [str(p) for p in sorted(FIXTURES.glob("*.dfg"))]
 
 
 def test_default_grid_layout():
@@ -257,3 +263,104 @@ def test_disjoint_load_and_store_map_and_match_reference(data_dir, mode):
     g = parse_dfg(text.replace("edge 0 4 0", "node 5 const 100\nedge 5 4 0"))
     rep = simulate(map_graph(g), g, MachineParams(mode=mode, n_threads=8))
     assert rep.live_out == reference_execute(g, 8) == [{3: 1}] * 8
+
+
+def _brute_nearest(cells, anchors):
+    # the mapper's search before it was split into row and column costs
+    return min(cells, key=lambda cell: (sum(manhattan(cell, a) for a in anchors), cell))
+
+
+def _brute_place(g, spec):
+    """Placement by scanning every free cell."""
+    need = Counter(kind_class(nd.kind) for nd in g.nodes)
+    for cls, cnt in sorted(need.items()):
+        if cnt > len(spec.cells_of(cls)):
+            raise MapError("capacity-exceeded",
+                           f"{cnt} {cls} nodes but only {len(spec.cells_of(cls))} cells")
+    preds = {nd.id: [e.src for e in g.intra_edges() if e.dst == nd.id] for nd in g.nodes}
+    free = {cls: spec.cells_of(cls) for cls in UNIT_CLASSES}
+    placement = {}
+    for nid in _bfs_order(g):
+        cells = free[kind_class(g.node(nid).kind)]
+        anchors = [placement[p] for p in preds[nid] if p in placement]
+        placement[nid] = _brute_nearest(cells, anchors)
+        cells.remove(placement[nid])
+    return placement
+
+
+def _brute_update_cells(g, spec, placement):
+    """Update-node cells, in dependency order, by scanning every free cell."""
+    deps = find_deps(g, spec.latencies)
+    used = set(placement.values())
+    free = [c for c in spec.cells_of(COMPUTE) if c not in used]
+    cells = []
+    for dep in deps:
+        if dep.producer == dep.consumer or classify(g, dep, deps)[0] is LoopPattern.CONSECUTIVE:
+            continue
+        if not free:
+            raise MapError("capacity-exceeded", "no free COMPUTE cell for update node")
+        cells.append(_brute_nearest(free, [placement[dep.producer], placement[dep.consumer]]))
+        free.remove(cells[-1])
+    return cells
+
+
+def _update_cells(g, spec, placement):
+    cfg = attach_feedback(g, find_deps(g, spec.latencies), placement, spec)
+    return [f.eor_cell for f in cfg.feedback if f.eor_cell is not None]
+
+
+def _result_or_refusal(fn, *args):
+    try:
+        return fn(*args)
+    except MapError as exc:
+        return exc.code, str(exc)
+
+
+@st.composite
+def graphs_on_drawn_grids(draw):
+    """A random or bundled graph on a unit map sized to it: each class gets
+    one cell fewer than the graph needs, exactly enough, or a few more (a
+    class nothing needs may get none), scattered with holes over a 1xN, Nx1
+    or rectangular grid.  The COMPUTE need may count the update nodes."""
+    g = draw(st.one_of(st.integers(min_value=0, max_value=10_000).map(random_dfg),
+                       st.sampled_from(FIXTURE_DFGS).map(load_dfg)))
+    need = Counter(kind_class(nd.kind) for nd in g.nodes)
+    deps = find_deps(g)
+    if draw(st.booleans()):
+        need[COMPUTE] += sum(dep.producer != dep.consumer
+                             and classify(g, dep, deps)[0] is not LoopPattern.CONSECUTIVE
+                             for dep in deps)
+    labels = [cls for cls in UNIT_CLASSES
+              for _ in range(max(0, need[cls] + draw(st.sampled_from([-1, 0, 0, 1, 2, 4]))))]
+    labels += [None] * draw(st.integers(min_value=0, max_value=6))
+    total = max(1, len(labels))
+    shape = draw(st.sampled_from(["row", "column", "rectangle"]))
+    if shape == "row":
+        rows, cols = 1, total
+    elif shape == "column":
+        rows, cols = total, 1
+    else:
+        cols = draw(st.integers(min_value=1, max_value=total))
+        rows = -(-total // cols)
+    cells = [(r, c) for r in range(rows) for c in range(cols)]
+    labels = draw(st.permutations(labels + [None] * (len(cells) - len(labels))))
+    spec = GridSpec(rows=rows, cols=cols,
+                    unit_map={cell: k for cell, k in zip(cells, labels) if k})
+    return g, spec
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_on_drawn_grids(), st.randoms(use_true_random=False))
+def test_placement_and_update_cells_match_brute_force_search(case, rnd):
+    g, spec = case
+    placement = _result_or_refusal(place, g, spec)
+    assert placement == _result_or_refusal(_brute_place, g, spec)
+    if isinstance(placement, tuple):
+        return
+    # update nodes on the mapper's placement, whose producers and consumers
+    # tend to sit side by side, and on one scattered over the grid
+    pools = {cls: rnd.sample(spec.cells_of(cls), len(spec.cells_of(cls))) for cls in UNIT_CLASSES}
+    scattered = {nd.id: pools[kind_class(nd.kind)].pop() for nd in g.nodes}
+    for pl in (placement, scattered):
+        assert (_result_or_refusal(_update_cells, g, spec, pl)
+                == _result_or_refusal(_brute_update_cells, g, spec, pl))
