@@ -12,7 +12,7 @@ _EXPORTS = {
            "parse_dfg", "load_dfg", "format_dfg", "validate", "reference_execute"),
     "analysis": ("LoopCarriedDep", "LoopPattern", "find_deps", "classify"),
     "grid": ("GridSpec", "GridConfig", "default_grid", "place", "route", "map_graph"),
-    "sim": ("MachineParams", "SimReport", "Token", "ildr_retag", "simulate", "steady_state_ii"),
+    "sim": ("MachineParams", "SimReport", "simulate", "steady_state_ii"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -111,7 +111,11 @@ def run_pair(dfg_path: str, threads: int, grid: GridSpec | None = None,
              overrides: dict | None = None) -> SweepPoint:
     """Simulate one fixture in both modes at one thread count."""
     g = load_dfg(dfg_path)
-    config = map_graph(g, grid)
+    return _pair(g, map_graph(g, grid), threads, overrides)
+
+
+def _pair(g, config, threads: int, overrides: dict | None) -> SweepPoint:
+    """Simulate a parsed and mapped graph in both modes at one thread count."""
     cycles = {}
     for mode in ("baseline", "dr"):
         params = MachineParams(mode=mode, n_threads=threads, **(overrides or {}))
@@ -121,7 +125,9 @@ def run_pair(dfg_path: str, threads: int, grid: GridSpec | None = None,
 
 def sweep(exp: Experiment) -> SpeedupCurve:
     grid = load_grid(exp.grid) if exp.grid else None
-    return SpeedupCurve([run_pair(exp.dfg, t, grid, exp.overrides) for t in exp.threads])
+    g = load_dfg(exp.dfg)
+    config = map_graph(g, grid)
+    return SpeedupCurve([_pair(g, config, t, exp.overrides) for t in exp.threads])
 
 
 def weighted_speedup(speedups: dict[str, float], weights: dict[str, float]) -> float:
@@ -199,10 +205,9 @@ def suite(fixture_dir: str, threads=DEFAULT_THREADS, grid: GridSpec | None = Non
 
     speedups: dict[str, dict[int, float]] = {}
     for name in names:
-        path = os.path.join(fixture_dir, name + ".dfg")
-        speedups[name] = {}
-        for t in threads:
-            speedups[name][t] = run_pair(path, t, grid, overrides).speedup
+        g = load_dfg(os.path.join(fixture_dir, name + ".dfg"))
+        config = map_graph(g, grid)
+        speedups[name] = {t: _pair(g, config, t, overrides).speedup for t in threads}
 
     weighted = {
         t: weighted_speedup({n: speedups[n][t] for n in names}, weights) for t in threads

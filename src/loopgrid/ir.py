@@ -287,31 +287,77 @@ def dfg_to_json(g: DataflowGraph) -> dict:
     }
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# a JSON field's type -> its check; a field that passes prints as exactly the
+# text that parse_dfg reads back as the same value, and nothing more
+_JSON_TYPES = {
+    "an integer": _is_int,
+    "a number": _is_number,
+    "a word": lambda v: isinstance(v, str) and re.fullmatch(r"[^\s#]+", v) is not None,
+    "a non-empty list of numbers": lambda v: isinstance(v, list) and v != [] and all(
+        map(_is_number, v)),
+}
+# JSON section -> its objects' fields, in the order of the text statement
+_JSON_FIELDS = {
+    "node": (("id", "an integer"), ("kind", "a word"), ("value", "a number")),
+    "edge": (("src", "an integer"), ("dst", "an integer"), ("slot", "an integer")),
+    "back": (("src", "an integer"), ("dst", "an integer"), ("slot", "an integer"),
+             ("diff", "an integer")),
+    "livein": (("name", "a word"), ("node", "an integer"), ("slot", "an integer"),
+               ("values", "a non-empty list of numbers")),
+    "liveout": (("node", "an integer"),),
+    "mem": (("addr", "an integer"), ("value", "a number")),
+}
+
+
 def parse_dfg_json(text: str) -> DataflowGraph:
+    """Parse the JSON form of the graph format (``dfg_to_json``'s schema).
+    Every field's type is checked before it is printed as text for
+    ``parse_dfg``, which makes every other check; an unknown key, a missing
+    one or a value of the wrong type raises DfgError("syntax") naming it.
+    A node's ``value`` is the one optional key; as in the text, a const
+    needs it and any other kind ignores it."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DfgError("syntax", f"bad JSON: {exc}", exc.lineno, exc.colno)
+    except (ValueError, RecursionError) as exc:  # an int over 4300 digits, deep nesting
+        raise DfgError("syntax", f"bad JSON: {exc}")
+    if not isinstance(doc, dict):
+        raise DfgError("syntax", f"document must be a JSON object, got {type(doc).__name__}")
+    for key in doc:
+        if key not in _JSON_FIELDS:
+            raise DfgError("syntax", f"unknown key {key!r}")
     lines = []
-    try:
-        for nd in doc.get("node", []):
-            value = f" {nd['value']}" if "value" in nd else ""
-            lines.append(f"node {nd['id']} {nd['kind']}{value}")
-        for e in doc.get("edge", []):
-            lines.append(f"edge {e['src']} {e['dst']} {e['slot']}")
-        for e in doc.get("back", []):
-            lines.append(f"back {e['src']} {e['dst']} {e['slot']} {e['diff']}")
-        for lv in doc.get("livein", []):
-            vals = " ".join(str(v) for v in lv["values"])
-            lines.append(f"livein {lv['name']} {lv['node']} {lv['slot']} {vals}")
-        for lo in doc.get("liveout", []):
-            lines.append(f"liveout {lo['node']}")
-        for m in doc.get("mem", []):
-            lines.append(f"mem {m['addr']} {m['value']}")
-    except KeyError as exc:
-        raise DfgError("syntax", f"missing key {exc}")
-    except (AttributeError, TypeError) as exc:
-        raise DfgError("syntax", f"malformed document: {exc}")
+    for section, fields in _JSON_FIELDS.items():
+        items = doc.get(section, [])
+        if not isinstance(items, list):
+            raise DfgError("syntax", f"'{section}' must be a list, got {items!r}")
+        names = [name for name, _ in fields]
+        for item in items:
+            if not isinstance(item, dict):
+                raise DfgError("syntax", f"a '{section}' entry must be an object, got {item!r}")
+            for key in item:
+                if key not in names:
+                    raise DfgError("syntax", f"unknown key {key!r} in a '{section}' entry")
+            words = [section]
+            for name, kind in fields:
+                if name not in item:
+                    if section == "node" and name == "value":
+                        continue
+                    raise DfgError("syntax", f"missing key '{name}' in a '{section}' entry")
+                v = item[name]
+                if not _JSON_TYPES[kind](v):
+                    raise DfgError("syntax", f"'{section}' {name!r} must be {kind}, got {v!r}")
+                words += map(str, v) if isinstance(v, list) else [str(v)]
+            lines.append(" ".join(words))
     return parse_dfg("\n".join(lines))
 
 

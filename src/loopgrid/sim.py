@@ -26,7 +26,9 @@ Values do not travel with the tokens.  Each unit has one result row indexed
 by thread id, written once, when it fires thread t (a const's row is filled
 at the start).  Firing thread t reads each operand as its producer's
 ``row[t - diff]`` (diff 0 on an intra edge), a plain live-in's column, or,
-below ``diff``, the seeding live-in.  The live-outs are read from the rows.
+below ``diff``, the seeding live-in.  The report keeps each live-out unit's
+row as that node's column, uncopied; its per-thread ``live_out`` dicts are
+built only when read.
 
 Each cycle runs five phases in order: arrivals enter buffers, completions
 queue results and schedule carried copies, units emit held results (node
@@ -91,7 +93,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .analysis import LoopPattern, classify, find_deps
 from .grid import GridConfig, GridSpec, _require_int
@@ -100,17 +101,6 @@ from .ir import OPS, DataflowGraph, DfgError, Node
 
 FAST_FORWARD_MIN_THREADS = 64  # untraced runs this long look for a periodic state
 FAST_FORWARD_MAX_STEPS = 4096  # steps watched for a repeat before giving up
-
-
-class Token(NamedTuple):
-    thread_id: int
-    value: object
-
-
-def ildr_retag(token: Token, diff: int) -> Token:
-    """Bump a token's thread id by the iteration distance; value unchanged.
-    Callers drop (and count) results whose new id falls outside the group."""
-    return Token(token.thread_id + diff, token.value)
 
 
 @dataclass
@@ -145,10 +135,27 @@ class SimReport:
     stalls: dict[int, int]
     dropped_retags: int
     selector_drops: int  # always 0: injectors stop at diff on a dependent slot
-    live_out: list[dict[int, object]]
+    live_columns: dict[int, list]  # live-out node id -> its value per thread id
     measured_ii: float | None
 
+    @property
+    def live_out(self) -> list[dict[int, object]]:
+        """Per thread, {live-out node id: value}; rebuilt from the columns on
+        each access."""
+        live = [{} for _ in range(self.n_threads)]
+        # one column at a time: a dict comprehension per thread took about
+        # three times as long at 4096 threads
+        for nid, col in self.live_columns.items():
+            for row, v in zip(live, col):
+                row[nid] = v
+        return live
+
     def to_json(self) -> dict:
+        # each thread's object straight from the columns, in node id order
+        nids = sorted(self.live_columns)
+        keys = [str(k) for k in nids]
+        live = ([dict(zip(keys, vals)) for vals in zip(*map(self.live_columns.get, nids))]
+                if nids else [{} for _ in range(self.n_threads)])
         return {
             "mode": self.mode,
             "n_threads": self.n_threads,
@@ -158,9 +165,7 @@ class SimReport:
             "dropped_retags": self.dropped_retags,
             "selector_drops": self.selector_drops,
             "measured_ii": self.measured_ii,
-            "live_out": [
-                {str(k): v for k, v in sorted(row.items())} for row in self.live_out
-            ],
+            "live_out": live,
         }
 
 
@@ -709,13 +714,6 @@ class SimState:
         return self.primary_issues[q - before]
 
     def report(self) -> SimReport:
-        n = self.params.n_threads
-        live = [{} for _ in range(n)]
-        # one live-out column at a time: a dict comprehension per thread
-        # took about three times as long at 4096 threads
-        for nid, u in self._outs.items():
-            for row, v in zip(live, u.row):
-                row[nid] = v
         count = len(self.primary_issues) + sum(len(r[1]) * r[3] for r in self.issue_runs)
         ii = None
         if count >= 3:
@@ -724,13 +722,13 @@ class SimState:
         stalls = {u.node.id: self._stall_total(u) for u in self.units}
         return SimReport(
             mode=self.params.mode,
-            n_threads=n,
+            n_threads=self.params.n_threads,
             total_cycles=self.cycle,
             fires={u.node.id: u.fires for u in self.units},
             stalls=stalls,
             dropped_retags=self.dropped_retags,
             selector_drops=0,
-            live_out=live,
+            live_columns={nid: u.row for nid, u in self._outs.items()},
             measured_ii=ii,
         )
 

@@ -2,7 +2,8 @@
 replaced, kept as a differential oracle.  Its only edit since is the
 kernel's in-order rule: a carried token waits until its slot's live-in
 seeds are all in, and a unit fires thread ``fires`` once every slot holds
-it.
+it.  Its ``Token`` and ``ildr_retag``, which the kernel no longer needs,
+live here.
 
 Every call to ``SimState.step`` advances exactly one global cycle and walks
 every unit twice (emission, then firing), so it is slow but has no wake-up
@@ -13,6 +14,7 @@ the kernel's reports, text traces and deadlock cycles equal this one's.
 from __future__ import annotations
 
 from collections import deque
+from typing import NamedTuple
 
 from loopgrid.grid import GridConfig
 from loopgrid.ir import DataflowGraph, eval_op
@@ -21,10 +23,19 @@ from loopgrid.sim import (
     MachineParams,
     SimInvariantError,
     SimReport,
-    Token,
-    ildr_retag,
     unit_latency,
 )
+
+
+class Token(NamedTuple):
+    thread_id: int
+    value: object
+
+
+def ildr_retag(token: Token, diff: int) -> Token:
+    """Bump a token's thread id by the iteration distance; value unchanged.
+    Callers drop (and count) results whose new id falls outside the group."""
+    return Token(token.thread_id + diff, token.value)
 
 
 class _Unit:
@@ -258,7 +269,7 @@ class SimState:
             stalls={nid: u.stalls for nid, u in self.units.items()},
             dropped_retags=self.dropped_retags,
             selector_drops=0,
-            live_out=live,
+            live_columns={nid: [row[nid] for row in live] for nid in self.dfg.live_out},
             measured_ii=ii,
         )
 

@@ -2,7 +2,8 @@
 
 Each text example applies 1-4 single-character inserts, deletes or replaces
 to a bundled fixture, an inline streaming trace or a JSON input, so most
-mutants sit one typo away from a valid file.  The JSON inputs are also
+mutants sit one typo away from a valid file.  The JSON inputs (experiment
+file, ``weights.json``, the JSON graph form and the grid spec) are also
 mutated as structures: members set to drawn JSON values, deleted, or the
 document wrapped in a list.
 """
@@ -17,8 +18,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import FIXTURES
 from loopgrid.bench import load_experiment, suite
-from loopgrid.grid import MapError, map_graph
-from loopgrid.ir import DfgError, ExecError, parse_dfg
+from loopgrid.grid import GridSpec, MapError, default_grid, map_graph
+from loopgrid.ir import DfgError, ExecError, dfg_to_json, parse_dfg, parse_dfg_json
 from loopgrid.sim import DeadlockError, MachineParams, simulate
 from loopgrid.traceflow import TraceError, ingest, prevalence_report
 
@@ -96,9 +97,15 @@ EXPERIMENT = {"dfg": "scenario1.dfg", "grid": None, "threads": [8, 32],
               "overrides": {"spill_latency": 4}}
 WEIGHTS = json.loads((FIXTURES / "suite" / "weights.json").read_text())
 JSON_ALPHABET = '{}[]":,0123456789.-+eE tnrufalsNIy_'
-# keys of both documents, a few near misses, and MachineParams fields
+DFG_DOCS = [dfg_to_json(parse_dfg(text)) for text in DFG_TEXTS]
+GRID_DOC = default_grid().to_json()
+# keys of every document, a few near misses, and MachineParams fields
 KEYS = st.sampled_from(["dfg", "grid", "threads", "overrides", "thread", "spill_latency",
-                        "mem_latency", "mode", "scenario1", "scenario4", "scenario9", ""])
+                        "mem_latency", "mode", "scenario1", "scenario4", "scenario9", "",
+                        "node", "edge", "back", "livein", "liveout", "mem", "nodes", "id",
+                        "kind", "value", "src", "dst", "slot", "diff", "name", "values",
+                        "addr", "rows", "cols", "unit_map", "latencies", "hop_latency",
+                        "token_buffer_depth", "alu", "load", "0,0", "7,7"])
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(KEYS, inner, max_size=3),
@@ -167,3 +174,21 @@ def test_mutated_weights_raise_only_value_errors(mutant):
             suite(tmp, threads=(1,))
         except (ValueError, DfgError, FileNotFoundError):
             pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(DFG_DOCS), JSON_MUTANTS)
+def test_mutated_json_graph_raises_only_typed_errors(doc, mutant):
+    try:
+        map_graph(parse_dfg_json(_json_mutant(doc, *mutant)))
+    except (DfgError, MapError):
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_MUTANTS)
+def test_mutated_grid_spec_raises_only_value_errors(mutant):
+    try:
+        GridSpec.from_json(json.loads(_json_mutant(GRID_DOC, *mutant)))
+    except ValueError:  # JSONDecodeError included
+        pass

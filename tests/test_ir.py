@@ -137,11 +137,32 @@ def test_validate_negatives(text, code):
         {"node": [{"id": 0, "kind": "const", "value": 1}], "liveout": [{}]},
         [],  # not an object
         {"node": [0]},
+        # a field used to be printed into the text unchecked: this one added
+        # a live-out, the next turned the add into "const 7"
+        {"node": [{"id": 0, "kind": "const 5\nliveout 0"}]},
+        {"node": [{"id": "0 const 7 #", "kind": "add"}]},
+        {"node": [], "nodes": []},  # unknown top-level keys were ignored
+        {"node": [{"id": 0, "kind": "const", "value": 1, "vaule": 2}]},
+        {"node": [{"id": 0, "kind": "const", "value": True}]},
+        {"node": [{"id": 0, "kind": "const", "value": 1}], "liveout": [{"node": 0.0}]},
+        {"node": [{"id": 0, "kind": "const", "value": 1}], "mem": {"addr": 0, "value": 1}},
+        {"livein": [{"name": "", "node": 0, "slot": 0, "values": [1]}]},
+        {"livein": [{"name": "x", "node": 0, "slot": 0, "values": ["1"]}]},
     ],
 )
 def test_parse_json_errors_are_syntax(doc):
     with pytest.raises(DfgError) as exc:
         parse_dfg_json(json.dumps(doc))
+    assert exc.value.code == "syntax"
+
+
+@pytest.mark.parametrize("text", [
+    '{"mem": [{"addr": 0, "value": 1' + "0" * 5000 + '}]}',  # json raises ValueError
+    "[" * 100_000 + "]" * 100_000,  # json raises RecursionError
+], ids=["long-int", "deep-nesting"])
+def test_parse_json_refuses_what_json_cannot_decode(text):
+    with pytest.raises(DfgError) as exc:
+        parse_dfg_json(text)
     assert exc.value.code == "syntax"
 
 

@@ -1,5 +1,7 @@
 """Cycle-level simulator: retagging, steady-state rates, and exactness."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -10,13 +12,12 @@ from loopgrid.sim import (
     DeadlockError,
     IIOracleError,
     MachineParams,
-    Token,
-    ildr_retag,
     simulate,
     steady_state_ii,
 )
 
 from _random_graphs import random_dfg
+from _stepper_oracle import Token, ildr_retag
 
 
 def run(fixtures, name, mode, n, **kw):
@@ -154,12 +155,40 @@ def test_simulation_deterministic(fixtures):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000),
-       st.sampled_from(["dr", "baseline"]))
-def test_random_graphs_match_reference(seed, mode):
+       st.sampled_from(["dr", "baseline"]),
+       st.sampled_from([6, 64, 200]))  # 64 threads and more may fast-forward
+def test_random_graphs_match_reference(seed, mode, n):
     g = random_dfg(seed)
     cfg = map_graph(g)
-    rep = simulate(cfg, g, MachineParams(mode=mode, n_threads=6))
-    assert rep.live_out == reference_execute(g, 6)
+    rep = simulate(cfg, g, MachineParams(mode=mode, n_threads=n))
+    ref = reference_execute(g, n)
+    assert rep.live_out == ref
+    assert rep.to_json()["live_out"] == [{str(k): v for k, v in sorted(row.items())}
+                                         for row in ref]
+
+
+def test_live_out_is_rebuilt_from_the_columns_on_each_access(fixtures):
+    g, _, rep = run(fixtures, "scenario3.dfg", "dr", 100)  # two live-outs
+    first = rep.live_out
+    first[0].clear()
+    assert rep.live_out == reference_execute(g, 100)
+    assert list(rep.live_columns) == list(dict.fromkeys(g.live_out))
+    assert all(len(col) == 100 for col in rep.live_columns.values())
+
+
+def test_report_memory_is_bounded(fixtures):
+    # the report keeps the live-out rows as columns; with one dict per thread
+    # this run peaked at 6.4 MB, with the columns at 1.7 MB
+    g = load_dfg(str(fixtures / "wrf_mem.dfg"))
+    cfg = map_graph(g)
+    tracemalloc.start()
+    try:
+        rep = simulate(cfg, g, MachineParams(mode="dr", n_threads=20_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.live_out == reference_execute(g, 20_000)
+    assert peak < 3_000_000
 
 
 def drop_livein(g, k, seed=False):
@@ -307,6 +336,7 @@ def test_empty_graph_matches_reference():
     g = parse_dfg("")
     rep = simulate(map_graph(g), g, MachineParams(mode="dr", n_threads=3))
     assert rep.live_out == reference_execute(g, 3)
+    assert rep.to_json()["live_out"] == [{}, {}, {}]
     assert rep.total_cycles == 0
 
 
