@@ -10,7 +10,6 @@ deterministic byte-for-byte for identical inputs.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import sys
@@ -19,7 +18,7 @@ from dataclasses import dataclass, field, fields
 # sim first: compiling the largest module before the others exist keeps
 # the peak resident set of a process that imports bench lower
 from .sim import MachineParams, simulate
-from .grid import GridSpec, _require_int, load_grid, map_graph
+from .grid import GridSpec, _read_json, _require_int, load_grid, map_graph
 from .ir import load_dfg
 
 DEFAULT_THREADS = (8, 32, 128, 512)
@@ -58,8 +57,7 @@ def load_experiment(path: str) -> Experiment:
     optionally a string ``grid``, a ``threads`` list and an ``overrides``
     object.  Paths resolve relative to the file; any other document, key
     or value type raises ``ValueError`` naming the key."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise ValueError(f"experiment file must be a JSON object, got {type(doc).__name__}")
     known = {f.name for f in fields(Experiment)}
@@ -167,8 +165,7 @@ def _load_weights(path: str, names: list[str]) -> dict[str, float]:
     """Read ``weights.json``: an object mapping each fixture stem in
     ``names`` to a finite, non-negative number, with a positive sum.  Any
     other document raises ``ValueError`` naming the key."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise ValueError(f"weights.json must be a JSON object, got {type(doc).__name__}")
     weights = {}

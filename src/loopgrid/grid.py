@@ -117,6 +117,16 @@ def _require_object(name: str, value) -> None:
         raise ValueError(f"{name} must be a JSON object, got {type(value).__name__}")
 
 
+def _read_json(path: str):
+    """The JSON document in a file.  A document nested too deeply for
+    ``json`` raises ``ValueError``, as every other bad document does."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError as exc:
+            raise ValueError(f"bad JSON: {exc}") from None
+
+
 def default_grid() -> GridSpec:
     """8x8 grid: columns 0-1 load/store, column 2 control and split/join
     interleaved by row, columns 3-7 compute."""
@@ -133,8 +143,7 @@ def default_grid() -> GridSpec:
 
 
 def load_grid(path: str) -> GridSpec:
-    with open(path, encoding="utf-8") as fh:
-        return GridSpec.from_json(json.load(fh))
+    return GridSpec.from_json(_read_json(path))
 
 
 def manhattan(a: tuple[int, int], b: tuple[int, int]) -> int:
@@ -214,9 +223,9 @@ def place(g: DataflowGraph, spec: GridSpec) -> dict[int, tuple[int, int]]:
 
     Nodes are taken in BFS order from the graph sources; each goes to the
     free class-correct cell minimizing summed manhattan distance to its
-    already-placed intra predecessors (ties: lowest (row, col)).  That sum
-    separates into a row cost and a column cost, see ``_nearest``; a node
-    with no placed predecessor takes its class's first free cell.
+    already-placed intra predecessors (ties: lowest (row, col)), see
+    ``_nearest``; a node with no placed predecessor takes its class's first
+    free cell.
     """
     free: dict[str, list[tuple[int, int]]] = {cls: [] for cls in UNIT_CLASSES}
     for cell, cls in spec.unit_map.items():
@@ -240,24 +249,22 @@ def place(g: DataflowGraph, spec: GridSpec) -> dict[int, tuple[int, int]]:
     for nid in order:
         cells = free[kind_class(g.node(nid).kind)]
         anchors = [placement[p] for p in preds[nid] if p in placement]
-        placement[nid] = cells.pop(_nearest(cells, anchors, spec))
+        placement[nid] = cells.pop(_nearest(cells, anchors))
     return placement
 
 
-def _nearest(cells: list[tuple[int, int]], anchors: list[tuple[int, int]],
-             spec: GridSpec) -> int:
+def _nearest(cells: list[tuple[int, int]], anchors: list[tuple[int, int]]) -> int:
     """Index in ``cells`` (sorted, non-empty) of the cell with the least
     summed manhattan distance to ``anchors``; the lowest (row, col) wins a
-    tie.  Cell (r, c) costs ``row_cost[r] + col_cost[c]``, where
-    ``row_cost[r] = sum(|r - a_row|)`` and ``col_cost[c] = sum(|c - a_col|)``
-    over the anchors, so each cost list is built once per search."""
+    tie.  Each anchor adds its distance to every cell's cost in one pass, so
+    a search costs one pass per anchor over ``cells``, whatever the declared
+    size of the grid."""
     if not anchors:
         return 0
-    row_cost, col_cost = [0] * spec.rows, [0] * spec.cols
-    for a, b in anchors:
-        row_cost = [x + abs(r - a) for r, x in enumerate(row_cost)]
-        col_cost = [x + abs(c - b) for c, x in enumerate(col_cost)]
-    costs = [row_cost[r] + col_cost[c] for r, c in cells]
+    (a, b), *rest = anchors
+    costs = [abs(r - a) + abs(c - b) for r, c in cells]
+    for a, b in rest:
+        costs = [x + abs(r - a) + abs(c - b) for x, (r, c) in zip(costs, cells)]
     return costs.index(min(costs))
 
 
@@ -346,7 +353,7 @@ def attach_feedback(g: DataflowGraph, deps: list[LoopCarriedDep],
             pc, cc = placement[dep.producer], placement[dep.consumer]
             if not free_compute:
                 raise MapError("capacity-exceeded", "no free COMPUTE cell for update node")
-            cell = free_compute.pop(_nearest(free_compute, [pc, cc], spec))
+            cell = free_compute.pop(_nearest(free_compute, [pc, cc]))
             att.eor_node = next_id
             next_id += 1
             att.eor_cell = cell

@@ -67,16 +67,32 @@ def ingest(lines) -> dict[str, RoutineGraph]:
     ``routine,src,dst,edge_count`` lines plus ``#bb routine,bb,instr_count``
     declarations.  The two forms of one execution yield identical graphs.
 
-    A streaming trace repeats a few distinct lines many times, so each raw
-    streaming line is parsed once: its ``(graph, bb, instr)`` is kept in a
-    dict of at most ``_LINE_CACHE_MAX`` entries (later new lines take the
-    full parse).  Entries are added only once the trace is known to be
-    streaming, when no later line can change how a data line parses.
+    A streaming trace repeats a few distinct lines many times, so the work
+    per repeated line is kept small.  Each (routine, block) pair gets a
+    small int code the first time it is seen, shared by every padding of
+    its lines, and its routine gets a slot.  Each raw data line is parsed
+    once: its ``(code, slot, instr)`` is kept in a dict of at most
+    ``_LINE_CACHE_MAX`` lines (later new lines take the full parse).
+    Entries are added only once the trace is known to be streaming, when
+    no later line can change how a data line parses.  A line then records
+    its instruction count against its code, swaps its code into its
+    routine's slot and bumps one count in the pair table, keyed by
+    (previous code, code): one row of counts per previous code.  The first
+    time a pair is seen its edge goes into ``edge_counts`` with count 0,
+    which keeps the edges in first-seen order.  After the last line each
+    block's last instruction count goes into ``instr_counts``, in
+    first-seen order, and every pair count is added to its edge.
     """
     graphs: dict[str, RoutineGraph] = {}
-    prev_bb: dict[str, int] = {}
-    parsed: dict[str, tuple[RoutineGraph, int, int]] = {}
     aggregated = None
+    # streaming state; code 0 stands for "no block yet" in its routine
+    parsed: dict[str, tuple[int, int, int]] = {}  # raw line -> (code, slot, instr)
+    codes: dict[tuple[str, int], tuple[int, int]] = {}  # (routine, bb) -> (code, slot)
+    slots: dict[str, int] = {}  # routine -> slot
+    blocks: list[tuple[RoutineGraph, int] | None] = [None]  # code -> (graph, bb)
+    instrs: list[int] = [0]  # code -> instr count of its last line
+    prev: list[int] = []  # slot -> code of its routine's last line
+    pairs: list[dict[int, int]] = [{}]  # previous code -> {code: count}
 
     def graph(routine: str) -> RoutineGraph:
         g = graphs.get(routine)
@@ -133,18 +149,38 @@ def ingest(lines) -> dict[str, RoutineGraph]:
                 instr = int(parts[2]) if len(parts) == 3 else 1
             except ValueError:
                 raise TraceError(f"malformed trace line: '{line}'", lineno)
-            entry = (graph(parts[0]), bb, instr)
+            routine = parts[0]
+            known = codes.get((routine, bb))
+            if known is None:
+                slot = slots.get(routine)
+                if slot is None:
+                    slot = slots[routine] = len(prev)
+                    prev.append(0)
+                known = codes[(routine, bb)] = (len(blocks), slot)
+                blocks.append((graph(routine), bb))
+                instrs.append(0)
+                pairs.append({})
+            entry = (*known, instr)
             if len(parsed) < _LINE_CACHE_MAX:
                 parsed[raw] = entry
 
-        g, bb, instr = entry
-        g.instr_counts[bb] = instr
-        routine = g.name
-        if routine in prev_bb:
-            key = (prev_bb[routine], bb)
-            g.edge_counts[key] = g.edge_counts.get(key, 0) + 1
-        prev_bb[routine] = bb
+        code, slot, instr = entry
+        instrs[code] = instr
+        p = prev[slot]
+        prev[slot] = code
+        row = pairs[p]
+        try:
+            row[code] += 1
+        except KeyError:
+            if p:  # not the routine's first line
+                row[code] = 1
+                g, dst = blocks[code]
+                g.edge_counts[(blocks[p][1], dst)] = 0
 
+    for (g, src), instr, row in zip(blocks[1:], instrs[1:], pairs[1:]):
+        g.instr_counts[src] = instr
+        for code, n in row.items():
+            g.edge_counts[(src, blocks[code][1])] += n
     return graphs
 
 

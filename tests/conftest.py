@@ -6,6 +6,8 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
 DATA = pathlib.Path(__file__).resolve().parent / "data"
+# deeper than json can decode: it raises RecursionError
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
 
 
 def pytest_configure(config):

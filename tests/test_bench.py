@@ -16,6 +16,8 @@ from loopgrid.bench import (
 )
 from loopgrid.ir import DfgError
 
+from conftest import DEEP_JSON
+
 
 def test_default_thread_set():
     assert DEFAULT_THREADS == (8, 32, 128, 512)
@@ -148,6 +150,13 @@ def test_load_experiment_keeps_a_null_grid(fixtures, tmp_path):
     assert (exp.grid, exp.threads) == (None, DEFAULT_THREADS)
 
 
+def test_load_experiment_refuses_deep_nesting(tmp_path):
+    path = tmp_path / "exp.json"
+    path.write_text(DEEP_JSON)
+    with pytest.raises(ValueError, match="bad JSON"):
+        load_experiment(str(path))
+
+
 def _suite_dir(fixtures, tmp_path, weights) -> str:
     for name in ("scenario1.dfg", "scenario2.dfg"):
         (tmp_path / name).write_text((fixtures / name).read_text())
@@ -175,6 +184,13 @@ def test_suite_refuses_malformed_weights(fixtures, tmp_path, weights, key):
     # print a weighted speedup of 0.0 or nan
     with pytest.raises(ValueError, match=key):
         suite(_suite_dir(fixtures, tmp_path, weights), threads=(8,))
+
+
+def test_suite_refuses_deeply_nested_weights(fixtures, tmp_path):
+    fixture_dir = _suite_dir(fixtures, tmp_path, {})
+    (tmp_path / "weights.json").write_text(DEEP_JSON)
+    with pytest.raises(ValueError, match="bad JSON"):
+        suite(fixture_dir, threads=(8,))
 
 
 def test_suite_accepts_integer_and_zero_weights(fixtures, tmp_path):

@@ -10,6 +10,7 @@ from loopgrid.grid import default_grid
 from loopgrid.ir import format_dfg
 
 from _random_graphs import random_dfg
+from conftest import DEEP_JSON
 
 CLI = [sys.executable, "-m", "loopgrid.cli"]
 
@@ -258,6 +259,16 @@ def test_unschedulable_grid_spec_exits_nonzero(fixtures, tmp_path, spec):
                           capture_output=True, text=True, timeout=30)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:")
+
+
+def test_deeply_nested_grid_spec_exits_nonzero(fixtures, tmp_path):
+    grid = tmp_path / "deep.json"
+    grid.write_text(DEEP_JSON)
+    proc = subprocess.run(CLI + ["map", str(fixtures / "scenario1.dfg"), "--grid", str(grid)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: bad JSON: ") and proc.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("feed", ["edge 0 1 4", "livein z 1 7 3"], ids=["edge", "livein"])

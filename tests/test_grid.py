@@ -1,6 +1,7 @@
 """Placement, routing, and feedback attachment on the unit grid."""
 
 import json
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -19,6 +20,7 @@ from loopgrid.grid import (
     attach_feedback,
     default_grid,
     kind_class,
+    load_grid,
     manhattan,
     map_graph,
     place,
@@ -28,7 +30,7 @@ from loopgrid.ir import DfgError, load_dfg, parse_dfg, reference_execute
 from loopgrid.sim import MachineParams, simulate
 
 from _random_graphs import random_dfg
-from conftest import FIXTURES
+from conftest import DEEP_JSON, FIXTURES
 
 FIXTURE_DFGS = [str(p) for p in sorted(FIXTURES.glob("*.dfg"))]
 
@@ -98,6 +100,28 @@ def test_grid_spec_rejects_malformed_documents(doc):
 def test_grid_spec_errors_name_the_bad_key(doc, key):
     with pytest.raises(ValueError, match=repr(key)):
         GridSpec.from_json(doc)
+
+
+def test_load_grid_refuses_deep_nesting(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP_JSON)
+    with pytest.raises(ValueError, match="bad JSON"):
+        load_grid(str(path))
+
+
+def test_mapping_cost_ignores_the_declared_grid_size(fixtures):
+    # the cost tables cover only the rows and columns that hold cells, so
+    # a million declared rows around the 8x8 unit map cost next to nothing
+    g = load_dfg(str(fixtures / "scenario1.dfg"))
+    spec = GridSpec.from_json({**default_grid().to_json(), "rows": 1_000_000})
+    tracemalloc.start()
+    try:
+        cfg = map_graph(g, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200_000
+    assert cfg.to_json() == map_graph(g).to_json()
 
 
 def test_zero_hop_latency_still_simulates(fixtures):

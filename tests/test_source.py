@@ -1,14 +1,17 @@
-"""Source hygiene: every name a module imports is used in it, no module
-reads the environment (the program has no hidden switches), and README's
-error table lists exactly the codes the package raises."""
+"""Source hygiene: every name a module imports is used in it, every module
+imports only the standard library and the package itself, no module reads
+the environment (the program has no hidden switches), and README's error
+table lists exactly the codes the package raises."""
 
 import ast
 import pathlib
 import re
+import sys
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "loopgrid"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "loopgrid"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -29,6 +32,30 @@ def unused_imports(source: str) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def imported_modules(source: str) -> set[str]:
+    """Top-level names of the modules a source file imports; a relative
+    import counts as the package itself."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add("loopgrid" if node.level else node.module.split(".")[0])
+    return names
+
+
+def test_imports_only_stdlib():
+    # zero runtime dependencies: every module of the package (its __init__
+    # too) imports only the standard library and the package, and the
+    # project declares no dependency
+    outside = {path.name: sorted(imported_modules(path.read_text(encoding="utf-8"))
+                                 - sys.stdlib_module_names - {"loopgrid"})
+               for path in sorted(SRC.glob("*.py"))}
+    assert {name: mods for name, mods in outside.items() if mods} == {}
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.findall(r"^dependencies = (.*)$", pyproject, re.MULTILINE) == ["[]"]
 
 
 def environment_reads(source: str) -> list[str]:
@@ -55,7 +82,7 @@ def coded_errors(source: str) -> set[tuple[str, str]]:
 
 
 def test_readme_lists_every_error_code():
-    readme = (SRC.parent.parent / "README.md").read_text(encoding="utf-8")
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
     table = set(re.findall(r"^\| `(\w+)` \| `([a-z-]+)` \|", readme, re.MULTILINE))
     raised = set().union(*(coded_errors(p.read_text(encoding="utf-8")) for p in MODULES))
     assert len(raised) > 30

@@ -122,6 +122,11 @@ def assert_matches_oracle(graphs, events):
         assert list(g.edge_counts.items()) == list(edges.items())
 
 
+def plain_lines(events):
+    """Streaming lines for (routine, bb, instr) events, without padding."""
+    return [f"{name},{bb}" + ("" if instr is None else f",{instr}") for name, bb, instr in events]
+
+
 PAD = st.sampled_from(["", " ", "\t", "  "])
 EOL = st.sampled_from(["\n", "\r\n"])
 FILLER = st.sampled_from(["", "  ", "# note", "#x,1,2", "\t# c"])
@@ -132,8 +137,9 @@ EVENT = st.tuples(st.sampled_from(["main", "f", "g2"]), st.integers(0, 5),
 @st.composite
 def rendered_streams(draw):
     """A streaming trace as text: drawn events, each rendered with drawn
-    padding and line ending, with blank and comment lines in between."""
-    events = draw(st.lists(EVENT, max_size=60))
+    padding and line ending, with blank and comment lines in between.  The
+    alphabet is small, so long lists repeat lines and block pairs."""
+    events = draw(st.lists(EVENT, max_size=400))
     out = []
     for name, bb, instr in events:
         if draw(st.booleans()):
@@ -167,6 +173,47 @@ def test_error_after_repeated_streaming_lines(last, message):
     assert str(exc.value) == f"{message} (line 6)"
 
 
+def test_instruction_count_change_after_cached_lines():
+    # block 0's line is parsed, cached and counted many times before other
+    # lines give block 0 other counts; the last count read wins, and blocks
+    # and edges keep their first-seen order
+    events = ([("f", 0, 5), ("f", 1, 3)] * 50
+              + [("f", 0, 7), ("f", 2, None), ("f", 1, 3), ("f", 0, 5)] * 3
+              + [("f", 1, 3), ("f", 0, 7), ("f", 1, 3), ("f", 0, 5)])
+    graphs = ingest(plain_lines(events))
+    assert_matches_oracle(graphs, events)
+    assert graphs["f"].instr_counts == {0: 5, 1: 3, 2: 1}
+    assert list(graphs["f"].edge_counts) == [(0, 1), (1, 0), (0, 2), (2, 1), (0, 0)]
+
+
+def test_late_edge_and_routine_after_many_cached_lines():
+    # far more lines than the cache holds, but only three distinct ones, so
+    # nearly every line is a cache hit; a new edge and a new routine come last
+    events = [("main", i % 3, 2) for i in range(3 * _LINE_CACHE_MAX)]
+    events += [("main", 3, None), ("late", 0, 4), ("main", 0, 2), ("late", 1, None),
+               ("late", 0, 4)]
+    graphs = ingest(plain_lines(events))
+    assert_matches_oracle(graphs, events)
+    assert graphs["main"].edge_counts == {(0, 1): _LINE_CACHE_MAX, (1, 2): _LINE_CACHE_MAX,
+                                          (2, 0): _LINE_CACHE_MAX - 1, (2, 3): 1, (3, 0): 1}
+    assert graphs["late"].edge_counts == {(0, 1): 1, (1, 0): 1}
+
+
+@pytest.mark.parametrize(
+    "last,message",
+    [
+        ("#aggregated", "mixed streaming and aggregated formats"),
+        ("f,1,x", "malformed trace line: 'f,1,x'"),
+    ],
+)
+def test_error_after_many_counted_lines(last, message):
+    lines = ["f,0,5", "f,1", "g,0"] * 5000 + [last, "f,0,5"]
+    with pytest.raises(TraceError) as exc:
+        ingest(lines)
+    assert exc.value.line == 15_001
+    assert str(exc.value) == f"{message} (line 15001)"
+
+
 def test_more_distinct_lines_than_the_cache_holds():
     # every line distinct; the second pass repeats them, so the first
     # _LINE_CACHE_MAX are looked up and the rest are parsed in full again
@@ -187,6 +234,23 @@ def test_line_cache_memory_is_bounded():
     assert g.edge_counts == {(0, 1): 30_000, (1, 0): 29_999}
     assert g.instr_counts == {0: 59_998, 1: 59_999}
     assert peak < 2_000_000
+
+
+def test_counting_memory_does_not_grow_with_the_stream():
+    # 240k lines over 16 distinct ones: the code, line and pair tables hold
+    # one entry per block, per line and per edge, whatever the length
+    distinct = [f"{r},{bb},{bb + 1}\n" for r in ("f", "g") for bb in (0, 1, 2, 3, 4, 2, 3, 1)]
+    tracemalloc.start()
+    try:
+        graphs = ingest(itertools.islice(itertools.cycle(distinct), 240_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    for g in graphs.values():
+        assert g.edge_counts == {(0, 1): 15_000, (1, 2): 15_000, (2, 3): 30_000,
+                                 (3, 4): 15_000, (4, 2): 15_000, (3, 1): 15_000,
+                                 (1, 0): 14_999}
+    assert peak < 50_000
 
 
 # ---------------------------------------------------------------- enumeration
