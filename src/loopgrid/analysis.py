@@ -112,13 +112,13 @@ def classify(g: DataflowGraph, dep: LoopCarriedDep,
     return LoopPattern.SINGLE_PATH, mem
 
 
-def describe_deps(g: DataflowGraph, latencies=None) -> list[str]:
+def describe_deps(g: DataflowGraph) -> list[str]:
     """One-line summaries used by the `analyze` CLI subcommand."""
-    deps = find_deps(g, latencies)
+    deps = find_deps(g)
     lines = []
     for dep in deps:
         pattern, mem = classify(g, dep, deps)
-        cycles = path_latency(g, dep.dependent_path, latencies)
+        cycles = path_latency(g, dep.dependent_path)
         lines.append(
             f"dep {dep.producer}->{dep.consumer} slot={dep.consumer_slot} "
             f"diff={dep.diff} pattern={pattern.value} mem={int(mem)} path_len={cycles}"

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields
 # sim first: compiling the largest module before the others exist keeps
 # the peak resident set of a process that imports bench lower
 from .sim import MachineParams, simulate
-from .grid import GridSpec, _read_json, _require_int, load_grid, map_graph
+from .grid import _read_json, _require_int, load_grid, map_graph
 from .ir import load_dfg
 
 DEFAULT_THREADS = (8, 32, 128, 512)
@@ -105,11 +105,10 @@ class SpeedupCurve:
         return "\n".join(lines) + "\n"
 
 
-def run_pair(dfg_path: str, threads: int, grid: GridSpec | None = None,
-             overrides: dict | None = None) -> SweepPoint:
+def run_pair(dfg_path: str, threads: int, overrides: dict | None = None) -> SweepPoint:
     """Simulate one fixture in both modes at one thread count."""
     g = load_dfg(dfg_path)
-    return _pair(g, map_graph(g, grid), threads, overrides)
+    return _pair(g, map_graph(g), threads, overrides)
 
 
 def _pair(g, config, threads: int, overrides: dict | None) -> SweepPoint:
@@ -185,8 +184,7 @@ def _load_weights(path: str, names: list[str]) -> dict[str, float]:
     return weights
 
 
-def suite(fixture_dir: str, threads=DEFAULT_THREADS, grid: GridSpec | None = None,
-          overrides: dict | None = None) -> SuiteSummary:
+def suite(fixture_dir: str, threads=DEFAULT_THREADS) -> SuiteSummary:
     """Run every .dfg fixture in a directory; weights come from weights.json
     (fixture stem -> run-time fraction), defaulting to uniform."""
     names = sorted(f[:-4] for f in os.listdir(fixture_dir) if f.endswith(".dfg"))
@@ -203,8 +201,8 @@ def suite(fixture_dir: str, threads=DEFAULT_THREADS, grid: GridSpec | None = Non
     speedups: dict[str, dict[int, float]] = {}
     for name in names:
         g = load_dfg(os.path.join(fixture_dir, name + ".dfg"))
-        config = map_graph(g, grid)
-        speedups[name] = {t: _pair(g, config, t, overrides).speedup for t in threads}
+        config = map_graph(g)
+        speedups[name] = {t: _pair(g, config, t, None).speedup for t in threads}
 
     weighted = {
         t: weighted_speedup({n: speedups[n][t] for n in names}, weights) for t in threads

@@ -24,6 +24,9 @@ from .ir import DataflowGraph, memory_carried
 COMPUTE, LDST, CONTROL, SJU = "COMPUTE", "LDST", "CONTROL", "SJU"
 UNIT_CLASSES = (COMPUTE, LDST, CONTROL, SJU)
 
+# the cell where a spilled value leaves the grid and re-enters it
+PORT = (0, 0)
+
 # node kind -> unit class hosting it
 KIND_CLASS = {"load": LDST, "store": LDST, "control": CONTROL, "splitjoin": SJU}
 
@@ -183,12 +186,11 @@ class GridConfig:
     routes: dict[tuple, Route]
     feedback: list[FeedbackAttachment]
     baseline_only: list[tuple]  # back-edge keys with no in-grid feedback (consecutive)
-    port: tuple[int, int] = (0, 0)
 
     def reinjection_latency(self, consumer: int) -> int:
         """Hop cost of re-entering the grid at the I/O port and reaching the
         consumer cell; charged on top of the flat spill latency."""
-        return manhattan(self.port, self.placement[consumer]) * self.spec.hop_latency
+        return manhattan(PORT, self.placement[consumer]) * self.spec.hop_latency
 
     def to_json(self) -> dict:
         return {

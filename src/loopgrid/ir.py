@@ -586,13 +586,12 @@ def eval_op(kind: str, a, b, memory: dict):
     return op(a, b, memory)
 
 
-def reference_execute(g: DataflowGraph, n_threads: int, params=None) -> list[dict[int, object]]:
+def reference_execute(g: DataflowGraph, n_threads: int) -> list[dict[int, object]]:
     """Run iterations 0..n_threads-1 strictly in order; the functional oracle.
 
     Returns, per thread, a map live-out node id -> produced value.  Latencies
     never matter here: the result is a pure function of the input values.
     """
-    del params  # interpreter output is latency-independent by contract
     order = topo_order(g)
     if order is None:
         raise ExecError("intra-cycle", "graph is not executable")

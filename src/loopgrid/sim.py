@@ -14,13 +14,18 @@ values cross iterations in one of two ways depending on the mode:
   from the grid port to the consumer cell, and the consuming thread stalls
   until it arrives.
 
-A dependent slot's live-in injector stops at ``diff`` (its selector serves
-later threads the carried value), so ``selector_drops`` is always 0.  Like
-the selector, the slot serves its seeds first: a carried token that arrives
-while seeds are still to be injected is held back, and the held tokens enter
-in thread order once the last seed is in.  So every slot receives its
-threads in order, a buffer always holds the unit's next threads and is kept
-as a count, and a unit's next thread is always its fire count.
+Every live-in is delivered once, at the end of cycle 1: a dependent slot's
+live-in puts its ``min(diff, n)`` seeds, which the unit's fires consume, and
+a plain live-in one standing token, which no fire consumes (a unit
+decrements only the slots a producer feeds, ``fed``).  A carried token
+arrives in cycle 3 at the earliest (every latency is at least 1), behind the
+seeds, and serves every later thread as the selector does, so
+``selector_drops`` is always 0.  This is exact: firing and stall decisions
+read only whether a slot is empty, and a live-in slot refilled after every
+fire would never be empty while threads remain.  So every slot receives its
+threads in order, a buffer is a count of the unit's next threads, and a
+unit's next thread is its fire count; at thread n a unit neither fires nor
+stalls.
 
 Values do not travel with the tokens.  Each unit has one result row indexed
 by thread id, written once, when it fires thread t (a const's row is filled
@@ -30,13 +35,14 @@ below ``diff``, the seeding live-in.  The report keeps each live-out unit's
 row as that node's column, uncopied; its per-thread ``live_out`` dicts are
 built only when read.
 
-Each cycle runs five phases in order: arrivals enter buffers, completions
+Each cycle runs four phases in order: arrivals enter buffers, completions
 queue results and schedule carried copies, units emit held results (node
-order), units fire (node order), live-ins are injected.  A token routed
-with zero latency lands during emission and can fire the same cycle.  Node
-order matters in two places: an emission can fill the slot a later unit's
-emission needed, and under ``mem_max_outstanding`` a load that fires takes
-a slot a higher-numbered load in the same cycle then lacks.
+order), units fire (node order); cycle 1 ends with a fifth, the live-in
+delivery.  A token routed with zero latency lands during emission and can
+fire the same cycle.  Node order matters in two places: an emission can fill
+the slot a later unit's emission needed, and under ``mem_max_outstanding`` a
+load that fires takes a slot a higher-numbered load in the same cycle then
+lacks.
 
 The kernel is event-driven but reproduces the cycle-by-cycle outcome
 exactly.  A unit's firing outcome depends only on its buffers, its held
@@ -45,10 +51,10 @@ units whose buffers or held results changed or that fired last cycle, and
 under the cap every load once a load completes (a rising count cannot
 unblock one); any other unit would repeat its last outcome.  A blocked
 emitter is retried only after one of its destinations fires (nothing else
-frees room), and a live-in injector only after its unit fires.  When nothing
-is left to visit, the kernel jumps to the next pending arrival or
-completion.  A stalling unit records the cycle its stall run began and is
-credited the run's length when it next fires or when the report is built.
+frees room).  When nothing is left to visit, the kernel jumps to the next
+pending arrival or completion.  A stalling unit records the cycle its stall
+run began and is credited the run's length when it next fires or when the
+report is built.
 A traced run visits every unit on every cycle and never jumps: an unwoken
 unit repeats its last outcome, so the visit changes no state and only writes
 the stall line of a unit still stalling.  That is the schedule of the plain
@@ -63,17 +69,18 @@ exactly up to a shift of thread ids.  An untraced run of at least
 ``FAST_FORWARD_MIN_THREADS`` threads watches for that repeat with Brent's
 cycle detection for at most ``FAST_FORWARD_MAX_STEPS`` steps, comparing only
 the steps at which a live-out value completed.  The signature counts every
-thread id from a fire count: the ids a unit injects or completes from its
-own, the ids in an arrival from the receiving unit's.  It holds the buffer
-counts, the length of each held result queue (a run of consecutive ids),
-event times relative to the cycle, which units are mid-stall, the load count
-and the units to visit next.  A repeat after P cycles moves each unit by k,
-its own fire-count change.  Every token in flight repeats, so a producer
-moves as its consumer does, while units that share no edge (loads under the
-memory cap among them) each keep their own k.  The kernel then skips m whole
-periods, m as large as keeps every const issue, live-in and retag below its
-thread limit (so no retag is dropped in a skipped period): fires, stalls,
-the cycle and the live-out count grow by m times the period's change, and
+thread id from a fire count: the ids a unit completes from its own, the ids
+in an arrival from the receiving unit's.  It holds the buffer counts, the
+length of each held result queue (a run of consecutive ids), event times
+relative to the cycle, which units are mid-stall, the load count and the
+units to visit next.  A repeat after P cycles moves each unit by k, its own
+fire-count change.  Every token in flight repeats, so a producer moves as
+its consumer does, while units that share no edge (loads under the memory
+cap among them) each keep their own k.  The kernel then skips m whole
+periods, m as large as keeps each moving unit's next thread, plus its
+largest retag diff, below n (so no retag is dropped in a skipped period, and
+no unit reaches thread n, where it would stop stalling): fires, stalls, the
+cycle and the live-out count grow by m times the period's change, and
 the primary unit's issue cycles are kept as one run (position, the period's
 cycles, P, m).  This is exact because timing never reads a value.  The
 values come from replaying the period's operator fires, shifted, in fire
@@ -134,7 +141,7 @@ class SimReport:
     fires: dict[int, int]
     stalls: dict[int, int]
     dropped_retags: int
-    selector_drops: int  # always 0: injectors stop at diff on a dependent slot
+    selector_drops: int  # always 0: a dependent slot takes seeds below its diff only
     live_columns: dict[int, list]  # live-out node id -> its value per thread id
     measured_ii: float | None
 
@@ -184,8 +191,7 @@ class SimInvariantError(AssertionError):
 class _Unit:
     __slots__ = ("index", "node", "cell", "latency", "arity", "op", "is_const", "is_load",
                  "emits", "row", "buffers", "reserved", "out_queue", "links", "feeders",
-                 "carriers", "injectors", "sources", "ins", "liveout", "fires", "stalls",
-                 "since")
+                 "carriers", "sources", "fed", "ins", "liveout", "fires", "stalls", "since")
 
     def __init__(self, index, node, cell, latency, n):
         self.index = index  # position in node order, which is firing order
@@ -206,9 +212,9 @@ class _Unit:
         self.links = []  # (destination, slot, route latency)
         self.feeders = []  # units with a route into this one
         self.carriers = []  # (consumer, slot, diff, delay >= 1)
-        self.injectors = []  # live-in injectors on this unit still short of their limit
         # per slot: (producer index or None, diff (0 on an intra edge), livein or None)
         self.sources = [(None, 0, None)] * self.arity
+        self.fed = None  # the slots a producer feeds, whose tokens a fire consumes
         self.ins = None  # per slot, padded to two: (row, diff, seeding livein); see SimState
         self.liveout = False
         self.fires = 0  # the unit fires thread ``fires`` next
@@ -223,9 +229,8 @@ class SimState:
 
     def __init__(self, config: GridConfig, dfg: DataflowGraph, params: MachineParams,
                  trace=None):
-        self.config = config
-        self.dfg = dfg
         self.params = params
+        self.depth = config.spec.token_buffer_depth
         self.trace = trace
 
         # parse_dfg accepts any slot number; a token for a missing slot has no buffer
@@ -294,22 +299,21 @@ class SimState:
                     raise DfgError("missing-livein", f"back edge into slot {slot} of node "
                                    f"{u.node.id} has no livein and feeds no live-out")
 
-        # live-in injectors: [unit index, slot, next tid, tid limit, held carried
-        # thread ids]; on a dependent slot only threads below diff take a
-        # live-in token
-        dep_diff = {(e.dst, e.slot): e.diff for e in dfg.back_edges()}
-        self._inject = []
+        # (unit index, slot, tokens) per live-in, all delivered at the end of
+        # cycle 1: a dependent slot's seeds, one per thread below its diff, or
+        # a plain live-in's one standing token, which no fire consumes
+        self._liveins = []
         for lv in dfg.live_in.values():
             if not lv.values:
                 raise DfgError("livein-length", f"livein '{lv.name}' has no values")
-            limit = min(dep_diff.get((lv.node, lv.slot), n), n)
-            inj = [by_id[lv.node].index, lv.slot, 0, limit, []]
-            by_id[lv.node].injectors.append(inj)
-            self._inject.append(inj)
+            u = by_id[lv.node]
+            d = u.sources[lv.slot][1]
+            self._liveins.append((u.index, lv.slot, min(d, n) if d else 1))
         # operand t of a slot is row[t - diff], or its seed below diff; a second
         # slot of None pads a one-input unit
         self._nones = [None] * n
         for u in self.units:
+            u.fed = [s for s, (p, _, _) in enumerate(u.sources) if p is not None]
             u.ins = [(self.units[p].row if p is not None else lv.column(n), d, lv)
                      for p, d, lv in u.sources] + [(self._nones, 0, None)] * (2 - u.arity)
 
@@ -376,27 +380,26 @@ class SimState:
 
     def step(self):
         """Run the next cycle in which anything can change: the next one if a
-        unit is woken, an emitter is ready or an injector has room, else the
-        next pending arrival or completion.  A traced run wakes every unit, so
-        it runs every cycle."""
+        unit is woken or an emitter is ready, else the next pending arrival or
+        completion.  A traced run wakes every unit, so it runs every cycle."""
         trace = self.trace
         units = self.units
         log = self._log
-        wake, emit, inject = self._wake, self._emit, self._inject
+        wake, emit = self._wake, self._emit
         arrivals, completions = self.arrivals, self.completions
         c = self.cycle + 1
         if trace is not None:
             # an unwoken unit repeats its last outcome: a visit only writes its stall line
             wake.update(range(len(units)))
-        if not (wake or emit or inject):
-            # nothing can fire, emit or inject before the next arrival or
-            # completion; with none pending, cycle c has no progress and raises
+        if not (wake or emit):
+            # nothing can fire or emit before the next arrival or completion;
+            # with none pending, cycle c has no progress and raises
             c = min(arrivals.keys() | completions.keys(), default=c)
         self.cycle = c
         progress = False
         n = self.params.n_threads
         mem_cap = self.params.mem_max_outstanding
-        depth = self.config.spec.token_buffer_depth
+        depth = self.depth
 
         # 1. tokens arriving this cycle enter their buffers
         arrived = arrivals.pop(c, None)
@@ -406,12 +409,6 @@ class SimState:
                 u = units[i]
                 if routed:
                     u.reserved[slot] -= 1
-                elif u.injectors:
-                    # a carried token waits until its slot's seeds are all in
-                    held = next((inj[4] for inj in u.injectors if inj[1] == slot), None)
-                    if held is not None:
-                        held.append(tid)
-                        continue
                 self._put(u, slot, tid)
                 wake.add(i)
 
@@ -481,8 +478,10 @@ class SimState:
         for i in sorted(wake):
             u = units[i]
             tid = u.fires
+            if tid >= n:
+                continue
             if u.is_const:
-                if tid >= n or u.out_queue:
+                if u.out_queue:
                     continue
             else:
                 bufs = u.buffers
@@ -498,7 +497,7 @@ class SimState:
                 if u.since is not None:
                     u.stalls += c - u.since
                     u.since = None
-                for s in range(u.arity):
+                for s in u.fed:
                     bufs[s] -= 1
                 u.row[tid] = u.op(*[row[tid - d] if tid >= d else lv.value_for(tid)
                                     for row, d, lv in u.ins], self.memory)
@@ -514,29 +513,17 @@ class SimState:
             if trace is not None:
                 self._emit_trace(c, "fire", u, tid, u.row[tid])
             completions.setdefault(c + u.latency, []).append((u, tid))
-            # the freed slots let held feeders emit and live-ins refill
+            # the freed slots let held feeders emit
             for f in u.feeders:
                 if units[f].out_queue:
                     emit.add(f)
-            inject += u.injectors
 
-        # 5. live-in injection, in thread order, while there is room
-        if inject:
-            for inj in inject:
-                i, slot, tid, limit, held = inj
-                u = units[i]
-                while tid < limit and u.buffers[slot] + u.reserved[slot] < depth:
-                    self._put(u, slot, tid)
-                    tid += 1
-                if tid != inj[2]:
-                    progress = True
-                    woken.add(i)
-                    inj[2] = tid
-                    if tid == limit:
-                        u.injectors.remove(inj)
-                        for t in held:  # the carried tokens held back
-                            self._put(u, slot, t)
-            inject.clear()
+        # 5. at the end of cycle 1, every live-in is delivered, once
+        if c == 1 and self._liveins:
+            progress = True
+            for i, slot, count in self._liveins:
+                units[i].buffers[slot] = count
+                woken.add(i)
 
         if not (progress or arrivals or completions or self.done()):
             # nothing is in flight, so each live-out has completed every thread it fired
@@ -555,13 +542,13 @@ class SimState:
     def _signature(self):
         """The state as far as timing reads it, less the load count that
         ``_watch`` keys on: every thread id counted from a fire count (the
-        unit's own for what it injects or completes, the receiving unit's for
-        an arrival), buffer counts, out-queue lengths, event times relative to
-        the cycle and the units to visit next."""
+        unit's own for what it completes, the receiving unit's for an
+        arrival), buffer counts (live-in tokens included, all delivered in
+        cycle 1), out-queue lengths, event times relative to the cycle and the
+        units to visit next."""
         c = self.cycle
         units = self.units
-        state = [(tuple(u.buffers), tuple(u.reserved), len(u.out_queue),
-                  [(inj[1], inj[2] - u.fires) for inj in u.injectors], u.since is None)
+        state = [(tuple(u.buffers), tuple(u.reserved), len(u.out_queue), u.since is None)
                  for u in units]
         state.append([(a - c, [(i, s, t - units[i].fires, r) for i, s, t, r in es])
                       for a, es in sorted(self.arrivals.items())])
@@ -613,19 +600,20 @@ class SimState:
         """Jump m whole periods past the repeat of checkpoint ``saved``, each
         unit's ids moving by k, its fire count's change.  A unit fires in
         thread order, so it completes no id at or above its fire count, and
-        while m <= (n - fires - diff) // k every thread-id test (const issue,
-        retag drop, live-in limit) reads as in the recorded period: a drop
-        there leaves no m, so none happens in a skipped period.  Nothing is
-        skipped while a seeding slot holds back carried tokens, or while a
-        unit with k > 0 has not yet fired past a back slot's diff, so every
-        operand of a replayed thread t is row[t - diff].  The replay writes
-        the operator fires' results into the rows, 64 periods to a block;
-        the tokens in flight only move their ids."""
+        while m <= (n - 1 - fires - diff) // k every thread-id test reads as
+        in the recorded period: each moving unit's next thread stays below n,
+        so it still fires or stalls as it did (a unit at thread n does
+        neither, though a plain live-in's standing token stays), and no retag
+        is dropped (a drop in the recorded period leaves no m).  Nothing is
+        skipped while a unit with k > 0 has not yet fired past a back slot's
+        diff, so every operand of a replayed thread t is row[t - diff].  The
+        replay writes the operator fires' results into the rows, 64 periods
+        to a block; the tokens in flight only move their ids."""
         _, _, cycle0, fires0, stalls0, missing0, issues0 = saved
         n = self.params.n_threads
         units = self.units
         fires = self._log
-        if not fires or any(inj[4] for u in units for inj in u.injectors):
+        if not fires:
             return False
         period = self.cycle - cycle0
         shift = [u.fires - f for u, f in zip(units, fires0)]  # unit index -> thread shift
@@ -635,9 +623,7 @@ class SimState:
                 if any(u.fires < d for _, d, _ in u.sources):
                     return False  # a thread the replay would fire reads a seed
                 diff = max((d for _, _, d, _ in u.carriers), default=0)
-                m = min(m, (n - u.fires - diff) // k)
-                for inj in u.injectors:
-                    m = min(m, (inj[3] - 1 - inj[2]) // k)
+                m = min(m, (n - 1 - u.fires - diff) // k)
         produced = missing0 - self._missing  # live-out values per period
         if produced:
             m = min(m, (self._missing - 1) // produced)
@@ -687,8 +673,6 @@ class SimState:
                 u.since += D
             if K[i]:
                 u.out_queue = deque(t + K[i] for t in u.out_queue)
-            for inj in u.injectors:
-                inj[2] += K[i]
         self.arrivals = {a + D: [(i, slot, t + K[i], r) for i, slot, t, r in es]
                          for a, es in self.arrivals.items()}
         self.completions = {a + D: [(u, t + K[u.index]) for u, t in es]

@@ -12,6 +12,7 @@ from loopgrid.grid import (
     COMPUTE,
     CONTROL,
     LDST,
+    PORT,
     SJU,
     UNIT_CLASSES,
     GridSpec,
@@ -249,7 +250,7 @@ def test_reinjection_latency_from_port(fixtures):
     g = load_dfg(str(fixtures / "scenario1.dfg"))
     cfg = map_graph(g)
     dep = find_deps(g)[0]
-    assert cfg.port == (0, 0)
+    assert PORT == (0, 0)
     assert cfg.reinjection_latency(dep.consumer) == manhattan(
         (0, 0), cfg.placement[dep.consumer]) * cfg.spec.hop_latency
 

@@ -136,16 +136,26 @@ EVENT = st.tuples(st.sampled_from(["main", "f", "g2"]), st.integers(0, 5),
 
 @st.composite
 def rendered_streams(draw):
-    """A streaming trace as text: drawn events, each rendered with drawn
-    padding and line ending, with blank and comment lines in between.  The
-    alphabet is small, so long lists repeat lines and block pairs."""
+    """A streaming trace as text: drawn events, with blank and comment lines
+    in between.  Each distinct event keeps the renderings (padding and line
+    ending) drawn for it so far and draws a new one with chance 1/8, else
+    reuses one, so raw lines repeat exactly, those of blocks whose count
+    varies included.  The alphabet is small, so long lists repeat lines and
+    block pairs."""
     events = draw(st.lists(EVENT, max_size=400))
+    forms = {}  # event -> its renderings so far
     out = []
-    for name, bb, instr in events:
+    for event in events:
         if draw(st.booleans()):
             out.append(draw(FILLER) + draw(EOL))
-        fields = [name, str(bb)] + ([] if instr is None else [str(instr)])
-        out.append(",".join(draw(PAD) + f + draw(PAD) for f in fields) + draw(EOL))
+        seen = forms.setdefault(event, [])
+        if not seen or draw(st.integers(0, 7)) == 0:
+            name, bb, instr = event
+            fields = [name, str(bb)] + ([] if instr is None else [str(instr)])
+            seen.append(",".join(draw(PAD) + f + draw(PAD) for f in fields) + draw(EOL))
+            out.append(seen[-1])
+        else:
+            out.append(draw(st.sampled_from(seen)))
     return events, "".join(out)
 
 
