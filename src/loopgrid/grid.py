@@ -60,6 +60,9 @@ class GridSpec:
             if cls not in DEFAULT_LATENCIES:
                 raise ValueError(f"unknown latency class {cls!r}")
             _require_int(f"latency of '{cls}'", lat, 1)
+        for cls in DEFAULT_LATENCIES:
+            if cls not in self.latencies:
+                raise ValueError(f"latency class {cls!r} is missing")
         _require_int("token_buffer_depth", self.token_buffer_depth, 1)
         for (r, c), k in self.unit_map.items():
             if not (0 <= r < self.rows and 0 <= c < self.cols):

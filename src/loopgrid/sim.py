@@ -66,14 +66,14 @@ it.
 Every loop iteration is its own thread, so a unit's fire count says where
 it stands in thread space, and a run in steady state repeats its state
 exactly up to a shift of thread ids.  An untraced run of at least
-``FAST_FORWARD_MIN_THREADS`` threads watches for that repeat with Brent's
-cycle detection for at most ``FAST_FORWARD_MAX_STEPS`` steps, comparing only
-the steps at which a live-out value completed.  The signature counts every
-thread id from a fire count: the ids a unit completes from its own, the ids
-in an arrival from the receiving unit's.  It holds the buffer counts, the
-length of each held result queue (a run of consecutive ids), event times
-relative to the cycle, which units are mid-stall, the load count and the
-units to visit next.  A repeat after P cycles moves each unit by k, its own
+``FAST_FORWARD_MIN_THREADS`` threads watches for that repeat with Nivasch's
+stack for at most ``FAST_FORWARD_MAX_STEPS`` steps, sampling only the steps
+at which a live-out value completed.  The signature counts every thread id
+from a fire count: the ids a unit completes from its own, the ids in an
+arrival from the receiving unit's.  It holds the load count, the buffer
+counts, the length of each held result queue (a run of consecutive ids),
+which units are mid-stall, event times relative to the cycle and the units
+to visit next.  A repeat after P cycles moves each unit by k, its own
 fire-count change.  Every token in flight repeats, so a producer moves as
 its consumer does, while units that share no edge (loads under the memory
 cap among them) each keep their own k.  The kernel then skips m whole
@@ -348,13 +348,13 @@ class SimState:
         self.issue_runs: list[tuple] = []
 
         # periodic fast-forward: the (unit index, thread id) fires since the
-        # last checkpoint while looking for a repeat, else None
+        # last skip while looking for a repeat, else None
         self._log = None
         if trace is None and n >= FAST_FORWARD_MIN_THREADS:
             self._log = []
-            self._saved = None  # the checkpoint (see _watch)
-            self._power, self._lam, self._budget = 1, 0, FAST_FORWARD_MAX_STEPS
-            self._sampled = self._missing  # live-out values missing at the last comparison
+            self._stack = []  # sampled states, signatures increasing (see _watch)
+            self._budget = FAST_FORWARD_MAX_STEPS
+            self._sampled = self._missing  # live-out values missing at the last sample
 
     # -- helpers -----------------------------------------------------------
 
@@ -540,64 +540,53 @@ class SimState:
         return u.stalls + (self.cycle + 1 - u.since if u.since is not None else 0)
 
     def _signature(self):
-        """The state as far as timing reads it, less the load count that
-        ``_watch`` keys on: every thread id counted from a fire count (the
-        unit's own for what it completes, the receiving unit's for an
-        arrival), buffer counts (live-in tokens included, all delivered in
-        cycle 1), out-queue lengths, event times relative to the cycle and the
-        units to visit next."""
+        """The state as far as timing reads it, as flat lists whose positions
+        hold one type in every state of a run, so any two compare: the load
+        count, buffer counts, out-queue lengths and mid-stall flags; pending
+        arrivals and completions, times counted from the cycle and thread ids
+        from a fire count (the receiving unit's, or the completing unit's own);
+        the units to visit.  Reserved room is the count of routed arrivals."""
         c = self.cycle
         units = self.units
-        state = [(tuple(u.buffers), tuple(u.reserved), len(u.out_queue), u.since is None)
-                 for u in units]
-        state.append([(a - c, [(i, s, t - units[i].fires, r) for i, s, t, r in es])
-                      for a, es in sorted(self.arrivals.items())])
-        state.append([(a - c, [(u.index, t - u.fires) for u, t in es])
-                      for a, es in sorted(self.completions.items())])  # cycles are unique keys
-        state.append((sorted(self._wake), sorted(self._emit)))
-        return state
+        head = [self.mem_outstanding, *[b for u in units for b in u.buffers],
+                *[len(u.out_queue) for u in units], *[u.since is None for u in units]]
+        return [head,
+                [(a - c, i, s, t - units[i].fires, r)
+                 for a, es in sorted(self.arrivals.items()) for i, s, t, r in es],
+                [(a - c, u.index, t - u.fires)
+                 for a, es in sorted(self.completions.items()) for u, t in es],
+                sorted(self._wake), sorted(self._emit)]
 
     def _watch(self):
-        """Brent's cycle detection: compare the state with a checkpoint that
-        is retaken once the steps since it reach the next power of two.  Only
-        a step at which a live-out value completed is compared or
-        checkpointed: whether a step completes one follows from the state
-        before it, so a run that repeats repeats at those steps too.  The
-        step budget counts every step.  A cheap key (load count, the number of woken and emitting
-        units, the number and summed offsets of pending event times) must
-        match before the full signature is built."""
+        """Nivasch's stack: pop the sampled states above this one; one equal
+        to the new top is a repeat, found at most one period after the run
+        first repeats.  Only steps that complete a live-out value are sampled
+        (the state before a step decides that, so a repeating run repeats
+        there too); the step budget counts every step."""
         self._budget -= 1
         if self._budget < 0:
             self._log = None
             return
-        self._lam += 1
         if self._missing == self._sampled:
             return
         self._sampled = self._missing
-        c = self.cycle
-        arrivals, completions = self.arrivals, self.completions
-        key = (self.mem_outstanding, len(self._wake), len(self._emit),
-               len(arrivals), sum(arrivals) - c * len(arrivals),
-               len(completions), sum(completions) - c * len(completions))
-        saved = self._saved
-        found = None
-        if saved is not None and key == saved[0]:
-            found = self._signature()
-            if found == saved[1] and self._skip(saved):
-                # look again: a unit that stopped (a const done issuing)
-                # leaves the others to repeat with a longer reach
-                self._saved, self._power, self._lam, self._log = None, 1, 0, []
+        found = self._signature()
+        stack = self._stack
+        while stack and stack[-1][0] > found:
+            stack.pop()
+        if stack and stack[-1][0] == found:
+            if self._skip(stack.pop()):  # else the top becomes this state
+                # look again: a stopped unit (a const done issuing) can leave
+                # the others to repeat with a longer reach
+                stack.clear()
+                self._log = []
                 return
-        if self._lam >= self._power:
-            self._saved = (key, found or self._signature(), c, [u.fires for u in self.units],
-                           [self._stall_total(u) for u in self.units], self._missing,
-                           len(self.primary_issues))
-            self._power *= 2
-            self._lam = 0
-            self._log = []
+        stack.append((found, self.cycle, [u.fires for u in self.units],
+                      [self._stall_total(u) for u in self.units], self._missing,
+                      len(self.primary_issues), len(self._log)))
 
     def _skip(self, saved) -> bool:
-        """Jump m whole periods past the repeat of checkpoint ``saved``, each
+        """Jump m whole periods past the repeat of sampled state ``saved``, each
         unit's ids moving by k, its fire count's change.  A unit fires in
         thread order, so it completes no id at or above its fire count, and
         while m <= (n - 1 - fires - diff) // k every thread-id test reads as
@@ -609,10 +598,10 @@ class SimState:
         diff, so every operand of a replayed thread t is row[t - diff].  The
         replay writes the operator fires' results into the rows, 64 periods
         to a block; the tokens in flight only move their ids."""
-        _, _, cycle0, fires0, stalls0, missing0, issues0 = saved
+        _, cycle0, fires0, stalls0, missing0, issues0, pos = saved
         n = self.params.n_threads
         units = self.units
-        fires = self._log
+        fires = self._log[pos:]
         if not fires:
             return False
         period = self.cycle - cycle0

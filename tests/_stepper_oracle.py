@@ -1,9 +1,11 @@
 """The cycle-by-cycle stepper the event-driven kernel in ``loopgrid.sim``
-replaced, kept as a differential oracle.  Its only edit since is the
-kernel's in-order rule: a carried token waits until its slot's live-in
-seeds are all in, and a unit fires thread ``fires`` once every slot holds
-it.  Its ``Token`` and ``ildr_retag``, which the kernel no longer needs,
-live here.
+replaced, kept as a differential oracle.  Its only edit since is an
+in-order rule: a carried token waits until its slot's live-in seeds are all
+in, and a unit fires thread ``fires`` once every slot holds it.  The kernel
+shares the second half only: it puts every seed in at the end of cycle 1,
+ahead of any carried token, so nothing waits.  Here the seeds are still
+injected up to the buffer depth.  Its ``Token`` and ``ildr_retag``, which
+the kernel no longer needs, live here.
 
 Every call to ``SimState.step`` advances exactly one global cycle and walks
 every unit twice (emission, then firing), so it is slow but has no wake-up

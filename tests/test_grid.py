@@ -70,6 +70,15 @@ def test_grid_spec_rejects_latencies_the_simulator_cannot_schedule(bad):
         GridSpec(**bad)
 
 
+def test_grid_spec_built_in_code_needs_every_latency_class(fixtures):
+    # map_graph would look up the missing class and raise a bare KeyError
+    with pytest.raises(ValueError, match="latency class 'fpu' is missing"):
+        GridSpec(unit_map=default_grid().unit_map, latencies={"alu": 1})
+    # from_json takes the missing classes from the defaults
+    spec = GridSpec.from_json({**default_grid().to_json(), "latencies": {"alu": 1}})
+    map_graph(load_dfg(str(fixtures / "wrf_mem.dfg")), spec)
+
+
 @pytest.mark.parametrize("doc", [
     [default_grid().to_json()],
     {"unit_map": ["0,0"]},

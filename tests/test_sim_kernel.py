@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import _stepper_oracle as oracle
 from _random_graphs import random_dfg
+from conftest import FIXTURES
 from loopgrid import sim
 from loopgrid.grid import default_grid, map_graph
 from loopgrid.ir import DfgError, ExecError, load_dfg, parse_dfg, reference_execute
@@ -172,8 +173,9 @@ def test_long_random_runs_match_oracle(seed, mode, n, cap, depth, hop):
        st.integers(min_value=8, max_value=200),
        st.sampled_from([1, 2, 3, 16]))
 def test_wide_diff_graphs_match_oracle_and_reference(seed, mode, n, depth):
-    # a back edge whose diff exceeds the buffer depth: the slot's seeds and
-    # the carried tokens of later threads contend for its room
+    # a back edge whose diff exceeds the buffer depth: in the oracle, the
+    # slot's seeds and the carried tokens of later threads contend for its
+    # room; the kernel puts every seed in at the end of cycle 1
     g = random_dfg(seed, max_diff=12)
     spec = default_grid()
     spec.token_buffer_depth = depth
@@ -404,23 +406,62 @@ def test_fast_forward_ends_below_the_thread_limit(fixtures):
 def test_fast_forward_step_ledger(monkeypatch, fixtures):
     # the untraced steps of every fixture, both modes, at four thread counts:
     # repeat detection that finds fewer or later repeats shows up as more
-    # steps.  17,744 is the total with every live-in delivered in cycle 1
-    steps = 0
-    step = sim.SimState.step
+    # steps, and one that samples more often as more signatures.  15,348
+    # steps and 4,517 signatures are the totals with Nivasch's stack
+    steps = signatures = 0
+    step, signature = sim.SimState.step, sim.SimState._signature
 
     def counted(self):
         nonlocal steps
         steps += 1
         step(self)
 
+    def built(self):
+        nonlocal signatures
+        signatures += 1
+        return signature(self)
+
     monkeypatch.setattr(sim.SimState, "step", counted)
+    monkeypatch.setattr(sim.SimState, "_signature", built)
     for path in sorted(fixtures.glob("*.dfg")) + sorted(fixtures.glob("suite/*.dfg")):
         g = load_dfg(str(path))
         cfg = map_graph(g)
         for mode in ("baseline", "dr"):
             for n in (64, 128, 512, 4096):
                 sim.simulate(cfg, g, MachineParams(mode=mode, n_threads=n))
-    assert steps <= 17_744
+    assert steps <= 15_348
+    assert signatures <= 4_517
+
+
+@pytest.mark.parametrize("mode", ["baseline", "dr"])
+@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.dfg")))
+def test_first_repeat_is_found_within_one_period(monkeypatch, name, mode):
+    # the run first repeats at step b, lam steps after the state's first
+    # sample; the stack still holds the least state of that period when it
+    # comes round again, so the first skip is tried by step b + lam
+    steps, seen, repeat, tried = 0, {}, None, []
+    watch, skip = sim.SimState._watch, sim.SimState._skip
+
+    def watched(self):
+        nonlocal steps, repeat
+        steps += 1
+        if repeat is None and self._missing != self._sampled:  # a sampled step
+            key = repr(self._signature())
+            if key in seen:
+                repeat = steps, steps - seen[key]
+            seen[key] = steps
+        watch(self)
+
+    def skipped(self, saved):
+        tried.append(steps)
+        return skip(self, saved)
+
+    monkeypatch.setattr(sim.SimState, "_watch", watched)
+    monkeypatch.setattr(sim.SimState, "_skip", skipped)
+    g = load_dfg(str(FIXTURES / name))
+    sim.simulate(map_graph(g), g, MachineParams(mode=mode, n_threads=512))
+    b, lam = repeat
+    assert b <= tried[0] <= b + lam
 
 
 SEEDED_SELF_LOOP = """
