@@ -14,18 +14,18 @@ values cross iterations in one of two ways depending on the mode:
   from the grid port to the consumer cell, and the consuming thread stalls
   until it arrives.
 
-Every live-in is delivered once, at the end of cycle 1: a dependent slot's
-live-in puts its ``min(diff, n)`` seeds, which the unit's fires consume, and
-a plain live-in one standing token, which no fire consumes (a unit
-decrements only the slots a producer feeds, ``fed``).  A carried token
-arrives in cycle 3 at the earliest (every latency is at least 1), behind the
-seeds, and serves every later thread as the selector does, so
-``selector_drops`` is always 0.  This is exact: firing and stall decisions
-read only whether a slot is empty, and a live-in slot refilled after every
-fire would never be empty while threads remain.  So every slot receives its
-threads in order, a buffer is a count of the unit's next threads, and a
-unit's next thread is its fire count; at thread n a unit neither fires nor
-stalls.
+A live-in's tokens are ordinary arrivals, all at the start of cycle 2: a
+dependent slot's live-in sends its ``min(diff, n)`` seeds, which the unit's
+fires consume, and a plain live-in one standing token, which no fire
+consumes (a unit decrements only the slots a producer feeds, ``fed``).  No
+unit but a const fires in cycle 1, and a carried token arrives in cycle 3 at
+the earliest (every latency is at least 1), behind the seeds; it serves
+every later thread as the selector does, so ``selector_drops`` is always 0
+and no state holds it.  This is exact: firing and stall decisions read only
+whether a slot is empty, and a live-in slot refilled after every fire would
+never be empty while threads remain.  So every slot receives its threads in
+order, a buffer is a count of the unit's next threads, and a unit's next
+thread is its fire count; at thread n a unit neither fires nor stalls.
 
 Values do not travel with the tokens.  Each unit has one result row indexed
 by thread id, written once, when it fires thread t (a const's row is filled
@@ -35,14 +35,13 @@ below ``diff``, the seeding live-in.  The report keeps each live-out unit's
 row as that node's column, uncopied; its per-thread ``live_out`` dicts are
 built only when read.
 
-Each cycle runs four phases in order: arrivals enter buffers, completions
-queue results and schedule carried copies, units emit held results (node
-order), units fire (node order); cycle 1 ends with a fifth, the live-in
-delivery.  A token routed with zero latency lands during emission and can
-fire the same cycle.  Node order matters in two places: an emission can fill
-the slot a later unit's emission needed, and under ``mem_max_outstanding`` a
-load that fires takes a slot a higher-numbered load in the same cycle then
-lacks.
+Each cycle runs four phases in order: arrivals enter buffers (the live-ins'
+in cycle 2), completions queue results and schedule carried copies, units
+emit held results (node order), units fire (node order).  A token routed
+with zero latency lands during emission and can fire the same cycle.  Node
+order matters in two places: an emission can fill the slot a later unit's
+emission needed, and under ``mem_max_outstanding`` a load that fires takes a
+slot a higher-numbered load in the same cycle then lacks.
 
 The kernel is event-driven but reproduces the cycle-by-cycle outcome
 exactly.  A unit's firing outcome depends only on its buffers, its held
@@ -63,37 +62,38 @@ progress and nothing in flight before every live-out exists raises
 DeadlockError at once: no state changed, so every later cycle would repeat
 it.
 
-Every loop iteration is its own thread, so a unit's fire count says where
-it stands in thread space, and a run in steady state repeats its state
-exactly up to a shift of thread ids.  An untraced run of at least
+Every loop iteration is its own thread, so a unit's fire count says where it
+stands in thread space, and a run in steady state repeats its state exactly
+up to a shift of thread ids.  An untraced run of at least
 ``FAST_FORWARD_MIN_THREADS`` threads watches for that repeat with Nivasch's
-stack for at most ``FAST_FORWARD_MAX_STEPS`` steps, sampling only the steps
-at which a live-out value completed.  The signature counts every thread id
-from a fire count: the ids a unit completes from its own, the ids in an
-arrival from the receiving unit's.  It holds the load count, the buffer
-counts, the length of each held result queue (a run of consecutive ids),
-which units are mid-stall, event times relative to the cycle and the units
-to visit next.  A repeat after P cycles moves each unit by k, its own
-fire-count change.  Every token in flight repeats, so a producer moves as
-its consumer does, while units that share no edge (loads under the memory
-cap among them) each keep their own k.  The kernel then skips m whole
-periods, m as large as keeps each moving unit's next thread, plus its
-largest retag diff, below n (so no retag is dropped in a skipped period, and
-no unit reaches thread n, where it would stop stalling): fires, stalls, the
-cycle and the live-out count grow by m times the period's change, and
-the primary unit's issue cycles are kept as one run (position, the period's
-cycles, P, m).  This is exact because timing never reads a value.  The
-values come from replaying the period's operator fires, shifted, in fire
-order into the same rows through each unit's ``ir.OPS`` op and the same
-memory, so stores, loads and the first ExecError are those of a full run.
-The replay reads every operand as ``row[t - diff]``, so no period is skipped
-before each unit that moves has fired past its back slots' diffs.  It runs
-in blocks of 64 periods; after each, a slice clears the ids below every
-consumer's next read (never on a live-out's row).  Detection then starts
-over, since a unit that stopped (a const done issuing) can leave the rest to
-repeat for longer; the normal kernel finishes the tail, deadlocks included.
-A traced run never skips, so its trace lists every cycle.  A single
-simulation is strictly single-threaded; distinct simulations share no state.
+stack for at most ``FAST_FORWARD_MAX_STEPS`` steps after its start or its
+last skip, sampling only the steps at which a live-out value completed.  The
+signature counts every thread id from a fire count: the ids a unit completes
+from its own, the ids in an arrival from the receiving unit's.  It holds the
+load count, the buffer counts, the length of each held result queue (a run
+of consecutive ids), which units are mid-stall, event times relative to the
+cycle and the units to visit next.  A repeat after P cycles moves each unit
+by k, its own fire-count change.  Every token in flight repeats, so a
+producer moves as its consumer does, while units that share no edge (loads
+under the memory cap among them) each keep their own k.  The kernel then
+skips m whole periods, m as large as keeps each moving unit's next thread,
+plus its largest retag diff, below n (so no retag is dropped in a skipped
+period, and no unit reaches thread n, where it would stop stalling): fires,
+stalls, the cycle and the live-out count grow by m times the period's
+change, and the primary unit's issue cycles are kept as one run (position,
+the period's cycles, P, m).  This is exact because timing never reads a
+value.  The values come from replaying the period's operator fires, shifted,
+in fire order into the same rows through each unit's ``ir.OPS`` op and the
+same memory, so stores, loads and the first ExecError are those of a full
+run.  The replay reads every operand as ``row[t - diff]``, so no period is
+skipped before each unit that moves has fired past its back slots' diffs.
+It runs in blocks of 64 periods; after each, a slice clears the ids below
+every consumer's next read (never on a live-out's row).  Detection then
+starts over, since a unit that stopped (a const done issuing) can leave the
+rest to repeat for longer; the normal kernel finishes the tail, deadlocks
+included.  A traced run never skips, so its trace lists every cycle.  A
+single simulation is strictly single-threaded; distinct simulations share no
+state.
 """
 
 from __future__ import annotations
@@ -141,9 +141,9 @@ class SimReport:
     fires: dict[int, int]
     stalls: dict[int, int]
     dropped_retags: int
-    selector_drops: int  # always 0: a dependent slot takes seeds below its diff only
     live_columns: dict[int, list]  # live-out node id -> its value per thread id
     measured_ii: float | None
+    selector_drops: int = 0  # no state sets it: a dependent slot takes seeds below its diff only
 
     @property
     def live_out(self) -> list[dict[int, object]]:
@@ -232,16 +232,8 @@ class SimState:
         self.params = params
         self.depth = config.spec.token_buffer_depth
         self.trace = trace
-
-        # parse_dfg accepts any slot number; a token for a missing slot has no buffer
-        nodes = {nd.id: nd for nd in dfg.nodes}
-        feeds = [(e.dst, e.slot, f"{e.kind} edge {e.src}->{e.dst}") for e in dfg.edges]
-        feeds += [(lv.node, lv.slot, f"livein '{lv.name}'") for lv in dfg.live_in.values()]
-        for nid, slot, what in feeds:
-            nd = nodes.get(nid)
-            if nd is not None and not 0 <= slot < nd.n_inputs:
-                raise DfgError("arity-mismatch",
-                               f"{what}: node {nid} ({nd.kind}) has no slot {slot}")
+        self.arrivals: dict[int, list] = {}
+        self.completions: dict[int, list] = {}
 
         n = params.n_threads
         self.units = [_Unit(i, nd, config.placement[nd.id],
@@ -256,29 +248,43 @@ class SimState:
                     (by_id[att.consumer].index, att.consumer_slot, att.diff,
                      att.feedback_latency))
             spilled = set(config.baseline_only)
-        for e in dfg.back_edges():
-            if e.key() in spilled:
-                delay = config.reinjection_latency(e.dst) + params.spill_latency
-                by_id[e.src].carriers.append((by_id[e.dst].index, e.slot, e.diff, max(delay, 1)))
 
-        for e in dfg.intra_edges():
-            src, dst = by_id[e.src], by_id[e.dst]
-            src.links.append((dst.index, e.slot, config.routes[e.key()].latency))
-            if src.index not in dst.feeders:
-                dst.feeders.append(src.index)
-
-        # a slot takes one edge, plus a seeding livein on a back edge's slot
+        # a slot takes one edge, plus a seeding livein on a back edge's slot;
+        # parse_dfg accepts any slot number, but a token for a missing slot has
+        # no buffer
         for e in dfg.edges:
-            u = by_id[e.dst]
+            src, u = by_id[e.src], by_id[e.dst]
+            if not 0 <= e.slot < u.arity:
+                raise DfgError("arity-mismatch", f"{e.kind} edge {e.src}->{e.dst}: node "
+                               f"{e.dst} ({u.node.kind}) has no slot {e.slot}")
             if u.sources[e.slot][0] is not None:
                 raise DfgError("duplicate-slot", f"slot {e.slot} of node {e.dst} bound twice")
-            u.sources[e.slot] = (by_id[e.src].index, e.diff if e.kind == "back" else 0, None)
+            if e.kind == "back":
+                u.sources[e.slot] = (src.index, e.diff, None)
+                if e.key() in spilled:
+                    delay = config.reinjection_latency(e.dst) + params.spill_latency
+                    src.carriers.append((u.index, e.slot, e.diff, max(delay, 1)))
+            else:
+                u.sources[e.slot] = (src.index, 0, None)
+                src.links.append((u.index, e.slot, config.routes[e.key()].latency))
+                if src.index not in u.feeders:
+                    u.feeders.append(src.index)
+        # a live-in's tokens arrive at the start of cycle 2, before any unit but
+        # a const has fired: a dependent slot's seeds, one per thread below its
+        # diff, or a plain slot's one standing token
         for lv in dfg.live_in.values():
             u = by_id[lv.node]
+            if not 0 <= lv.slot < u.arity:
+                raise DfgError("arity-mismatch", f"livein '{lv.name}': node {lv.node} "
+                               f"({u.node.kind}) has no slot {lv.slot}")
             p, d, seed = u.sources[lv.slot]
             if seed is not None or (p is not None and not d):
                 raise DfgError("duplicate-slot", f"slot {lv.slot} of node {lv.node} bound twice")
+            if not lv.values:
+                raise DfgError("livein-length", f"livein '{lv.name}' has no values")
             u.sources[lv.slot] = (p, d, lv)
+            self.arrivals.setdefault(2, []).extend(
+                (u.index, lv.slot, t, False) for t in range(min(d, n) if d else 1))
         # an unseeded back edge starves its consumer's first threads: on a path
         # to a live-out the run deadlocks, off every such path it is refused
         # here, where the reference raises ExecError("missing-livein")
@@ -289,6 +295,9 @@ class SimState:
                 if f not in live:
                     live.add(f)
                     stack.append(f)
+        # operand t of a slot is row[t - diff], or its seed below diff; a second
+        # slot of None pads a one-input unit
+        self._nones = [None] * n
         for u in self.units:
             for slot, (p, d, lv) in enumerate(u.sources):
                 # a unit with an unfed slot never fires; the reference refuses the graph
@@ -298,29 +307,12 @@ class SimState:
                 if d and lv is None and u.index not in live:
                     raise DfgError("missing-livein", f"back edge into slot {slot} of node "
                                    f"{u.node.id} has no livein and feeds no live-out")
-
-        # (unit index, slot, tokens) per live-in, all delivered at the end of
-        # cycle 1: a dependent slot's seeds, one per thread below its diff, or
-        # a plain live-in's one standing token, which no fire consumes
-        self._liveins = []
-        for lv in dfg.live_in.values():
-            if not lv.values:
-                raise DfgError("livein-length", f"livein '{lv.name}' has no values")
-            u = by_id[lv.node]
-            d = u.sources[lv.slot][1]
-            self._liveins.append((u.index, lv.slot, min(d, n) if d else 1))
-        # operand t of a slot is row[t - diff], or its seed below diff; a second
-        # slot of None pads a one-input unit
-        self._nones = [None] * n
-        for u in self.units:
             u.fed = [s for s, (p, _, _) in enumerate(u.sources) if p is not None]
             u.ins = [(self.units[p].row if p is not None else lv.column(n), d, lv)
                      for p, d, lv in u.sources] + [(self._nones, 0, None)] * (2 - u.arity)
 
         self.memory = dict(dfg.memory_image)
         self.mem_outstanding = 0
-        self.arrivals: dict[int, list] = {}
-        self.completions: dict[int, list] = {}
         self.cycle = 0
         self.dropped_retags = 0
         self._outs = {nid: by_id[nid] for nid in dfg.live_out}  # live-out units, once each
@@ -401,7 +393,7 @@ class SimState:
         mem_cap = self.params.mem_max_outstanding
         depth = self.depth
 
-        # 1. tokens arriving this cycle enter their buffers
+        # 1. tokens arriving this cycle enter their buffers, the live-ins' in cycle 2
         arrived = arrivals.pop(c, None)
         if arrived:
             progress = True
@@ -518,13 +510,6 @@ class SimState:
                 if units[f].out_queue:
                     emit.add(f)
 
-        # 5. at the end of cycle 1, every live-in is delivered, once
-        if c == 1 and self._liveins:
-            progress = True
-            for i, slot, count in self._liveins:
-                units[i].buffers[slot] = count
-                woken.add(i)
-
         if not (progress or arrivals or completions or self.done()):
             # nothing is in flight, so each live-out has completed every thread it fired
             pending = {nid: u.fires for nid, u in self._outs.items()}
@@ -562,7 +547,7 @@ class SimState:
         to the new top is a repeat, found at most one period after the run
         first repeats.  Only steps that complete a live-out value are sampled
         (the state before a step decides that, so a repeating run repeats
-        there too); the step budget counts every step."""
+        there too); the step budget counts every step since the last skip."""
         self._budget -= 1
         if self._budget < 0:
             self._log = None
@@ -580,6 +565,7 @@ class SimState:
                 # the others to repeat with a longer reach
                 stack.clear()
                 self._log = []
+                self._budget = FAST_FORWARD_MAX_STEPS
                 return
         stack.append((found, self.cycle, [u.fires for u in self.units],
                       [self._stall_total(u) for u in self.units], self._missing,
@@ -593,11 +579,14 @@ class SimState:
         in the recorded period: each moving unit's next thread stays below n,
         so it still fires or stalls as it did (a unit at thread n does
         neither, though a plain live-in's standing token stays), and no retag
-        is dropped (a drop in the recorded period leaves no m).  Nothing is
-        skipped while a unit with k > 0 has not yet fired past a back slot's
-        diff, so every operand of a replayed thread t is row[t - diff].  The
-        replay writes the operator fires' results into the rows, 64 periods
-        to a block; the tokens in flight only move their ids."""
+        is dropped (a drop in the recorded period leaves no m).  The bound
+        also leaves a live-out value missing: a live-out unit that completes
+        values in the period fires as many (the state repeats), so its k >= 1
+        keeps its thread n - 1 unfired.  Nothing is skipped while a unit with
+        k > 0 has not yet fired past a back slot's diff, so every operand of a
+        replayed thread t is row[t - diff].  The replay writes the operator
+        fires' results into the rows, 64 periods to a block; the tokens in
+        flight only move their ids."""
         _, cycle0, fires0, stalls0, missing0, issues0, pos = saved
         n = self.params.n_threads
         units = self.units
@@ -614,8 +603,6 @@ class SimState:
                 diff = max((d for _, _, d, _ in u.carriers), default=0)
                 m = min(m, (n - 1 - u.fires - diff) // k)
         produced = missing0 - self._missing  # live-out values per period
-        if produced:
-            m = min(m, (self._missing - 1) // produced)
         if m < 1:
             return False
         # unit index -> the lowest id of its row a consumer still reads; every
@@ -700,7 +687,6 @@ class SimState:
             fires={u.node.id: u.fires for u in self.units},
             stalls=stalls,
             dropped_retags=self.dropped_retags,
-            selector_drops=0,
             live_columns={nid: u.row for nid, u in self._outs.items()},
             measured_ii=ii,
         )

@@ -2,8 +2,8 @@
 replaced, kept as a differential oracle.  Its only edit since is an
 in-order rule: a carried token waits until its slot's live-in seeds are all
 in, and a unit fires thread ``fires`` once every slot holds it.  The kernel
-shares the second half only: it puts every seed in at the end of cycle 1,
-ahead of any carried token, so nothing waits.  Here the seeds are still
+shares the second half only: there every seed arrives at the start of cycle
+2, ahead of any carried token, so nothing waits.  Here the seeds are still
 injected up to the buffer depth.  Its ``Token`` and ``ildr_retag``, which
 the kernel no longer needs, live here.
 

@@ -153,18 +153,27 @@ def test_simulation_deterministic(fixtures):
     assert a.to_json() == b.to_json()
 
 
+def same_rows(got, want) -> bool:
+    """Row for row the same keys and equal values, a nan equal to itself
+    (an fmul that overflows to inf, less itself, is nan in both)."""
+    return len(got) == len(want) and all(
+        a.keys() == b.keys() and all(x == b[k] or (x != x and b[k] != b[k]) for k, x in a.items())
+        for a, b in zip(got, want))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000),
        st.sampled_from(["dr", "baseline"]),
        st.sampled_from([6, 64, 200]))  # 64 threads and more may fast-forward
+@example(seed=5764, mode="dr", n=64)  # live-outs inf and nan from thread 28 on
 def test_random_graphs_match_reference(seed, mode, n):
     g = random_dfg(seed)
     cfg = map_graph(g)
     rep = simulate(cfg, g, MachineParams(mode=mode, n_threads=n))
     ref = reference_execute(g, n)
-    assert rep.live_out == ref
-    assert rep.to_json()["live_out"] == [{str(k): v for k, v in sorted(row.items())}
-                                         for row in ref]
+    assert same_rows(rep.live_out, ref)
+    assert same_rows(rep.to_json()["live_out"],
+                     [{str(k): v for k, v in sorted(row.items())} for row in ref])
 
 
 def test_live_out_is_rebuilt_from_the_columns_on_each_access(fixtures):
