@@ -11,7 +11,7 @@ path, plus an orthogonal flag for memory traffic in the loop.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ir import DataflowGraph, DfgError, Edge, topo_order
 
@@ -25,8 +25,7 @@ class LoopPattern(enum.Enum):
     CONSECUTIVE = "Consecutive"
 
 
-@dataclass(frozen=True)
-class LoopCarriedDep:
+class LoopCarriedDep(NamedTuple):
     back_edge: Edge
     producer: int
     consumer: int

@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields
 
+from . import _FRESH, _Record
 # sim first: compiling the largest module before the others exist keeps
 # the peak resident set of a process that imports bench lower
 from .sim import MachineParams, simulate
@@ -24,14 +24,15 @@ from .ir import load_dfg
 DEFAULT_THREADS = (8, 32, 128, 512)
 
 
-@dataclass
-class Experiment:
-    dfg: str
-    grid: str | None = None
-    threads: tuple[int, ...] = DEFAULT_THREADS
-    overrides: dict = field(default_factory=dict)  # MachineParams field overrides
+class Experiment(_Record):
+    _fields = ("dfg", "grid", "threads", "overrides")
 
-    def __post_init__(self):
+    def __init__(self, dfg: str, grid: str | None = None,
+                 threads: tuple[int, ...] = DEFAULT_THREADS, overrides: dict = _FRESH):
+        self.dfg = dfg
+        self.grid = grid
+        self.threads = threads
+        self.overrides = {} if overrides is _FRESH else overrides  # MachineParams field overrides
         if not isinstance(self.threads, (list, tuple)):
             raise ValueError(f"'threads' must be a list, got {self.threads!r}")
         for t in self.threads:
@@ -46,9 +47,8 @@ class Experiment:
         if self.grid is not None and not os.path.isfile(self.grid):
             raise FileNotFoundError(self.grid)
         # mode and n_threads are what a sweep varies; they cannot be overridden
-        allowed = {f.name for f in fields(MachineParams)} - {"mode", "n_threads"}
         for key in self.overrides:
-            if key not in allowed:
+            if key not in MachineParams._fields or key in ("mode", "n_threads"):
                 raise ValueError(f"unknown machine override '{key}'")
 
 
@@ -60,9 +60,8 @@ def load_experiment(path: str) -> Experiment:
     doc = _read_json(path)
     if not isinstance(doc, dict):
         raise ValueError(f"experiment file must be a JSON object, got {type(doc).__name__}")
-    known = {f.name for f in fields(Experiment)}
     for key in doc:
-        if key not in known:
+        if key not in Experiment._fields:
             raise ValueError(f"unknown experiment key {key!r}")
     if "dfg" not in doc:
         raise ValueError("experiment file has no 'dfg' key")
@@ -83,20 +82,24 @@ def load_experiment(path: str) -> Experiment:
     )
 
 
-@dataclass
-class SweepPoint:
-    threads: int
-    cycles_baseline: int
-    cycles_dr: int
+class SweepPoint(_Record):
+    _fields = ("threads", "cycles_baseline", "cycles_dr")
+
+    def __init__(self, threads: int, cycles_baseline: int, cycles_dr: int):
+        self.threads = threads
+        self.cycles_baseline = cycles_baseline
+        self.cycles_dr = cycles_dr
 
     @property
     def speedup(self) -> float:
         return self.cycles_baseline / self.cycles_dr
 
 
-@dataclass
-class SpeedupCurve:
-    points: list[SweepPoint]
+class SpeedupCurve(_Record):
+    _fields = ("points",)
+
+    def __init__(self, points: list[SweepPoint]):
+        self.points = points
 
     def to_csv(self) -> str:
         lines = ["threads,cycles_baseline,cycles_dr,speedup"]
@@ -138,14 +141,19 @@ def weighted_speedup(speedups: dict[str, float], weights: dict[str, float]) -> f
     return combined
 
 
-@dataclass
-class SuiteSummary:
-    fixtures: list[str]
-    threads: tuple[int, ...]
-    speedups: dict[str, dict[int, float]]  # fixture -> threads -> speedup
-    weights: dict[str, float]
-    weighted: dict[int, float]  # threads -> combined speedup
-    uniform_weights_warning: bool = False
+class SuiteSummary(_Record):
+    _fields = ("fixtures", "threads", "speedups", "weights", "weighted",
+               "uniform_weights_warning")
+
+    def __init__(self, fixtures: list[str], threads: tuple[int, ...],
+                 speedups: dict[str, dict[int, float]], weights: dict[str, float],
+                 weighted: dict[int, float], uniform_weights_warning: bool = False):
+        self.fixtures = fixtures
+        self.threads = threads
+        self.speedups = speedups  # fixture -> threads -> speedup
+        self.weights = weights
+        self.weighted = weighted  # threads -> combined speedup
+        self.uniform_weights_warning = uniform_weights_warning
 
     def to_csv(self) -> str:
         lines = ["# weighting: harmonic (weights are run-time fractions)"]

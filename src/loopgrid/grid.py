@@ -16,8 +16,9 @@ consumer, paying its route latency.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
+from . import _FRESH, _Record
 from .analysis import DEFAULT_LATENCIES, LoopCarriedDep, LoopPattern, classify, find_deps
 from .ir import DataflowGraph, memory_carried
 
@@ -41,21 +42,25 @@ class MapError(Exception):
         super().__init__(f"{code}: {message}")
 
 
-@dataclass
-class GridSpec:
-    rows: int = 8
-    cols: int = 8
-    unit_map: dict[tuple[int, int], str] = field(default_factory=dict)
-    latencies: dict[str, int] = field(default_factory=lambda: dict(DEFAULT_LATENCIES))
-    hop_latency: int = 1
-    token_buffer_depth: int = 16
+class GridSpec(_Record):
+    _fields = ("rows", "cols", "unit_map", "latencies", "hop_latency", "token_buffer_depth")
 
-    def __post_init__(self):
+    def __init__(self, rows: int = 8, cols: int = 8,
+                 unit_map: dict[tuple[int, int], str] = _FRESH,
+                 latencies: dict[str, int] = _FRESH, hop_latency: int = 1,
+                 token_buffer_depth: int = 16):
+        self.rows = rows
+        self.cols = cols
+        self.unit_map = {} if unit_map is _FRESH else unit_map
+        self.latencies = dict(DEFAULT_LATENCIES) if latencies is _FRESH else latencies
+        self.hop_latency = hop_latency
+        self.token_buffer_depth = token_buffer_depth
         _require_int("rows", self.rows, 1)
         _require_int("cols", self.cols, 1)
         # every scheduled arrival and completion must lie strictly after the
         # cycle that schedules it; a zero-hop route is delivered in place
         _require_int("hop_latency", self.hop_latency, 0)
+        _require_object("latencies", self.latencies)
         for cls, lat in self.latencies.items():
             if cls not in DEFAULT_LATENCIES:
                 raise ValueError(f"unknown latency class {cls!r}")
@@ -64,6 +69,7 @@ class GridSpec:
             if cls not in self.latencies:
                 raise ValueError(f"latency class {cls!r} is missing")
         _require_int("token_buffer_depth", self.token_buffer_depth, 1)
+        _require_object("unit_map", self.unit_map)
         for (r, c), k in self.unit_map.items():
             if not (0 <= r < self.rows and 0 <= c < self.cols):
                 raise ValueError(f"cell ({r},{c}) lies outside the {self.rows}x{self.cols} grid")
@@ -86,9 +92,8 @@ class GridSpec:
     @classmethod
     def from_json(cls, doc: dict) -> "GridSpec":
         _require_object("grid spec", doc)
-        known = {f.name for f in fields(cls)}
         for key in doc:
-            if key not in known:
+            if key not in cls._fields:
                 raise ValueError(f"unknown grid spec key {key!r}")
         cells = doc.get("unit_map", {})
         latencies = doc.get("latencies", {})
@@ -156,25 +161,30 @@ def manhattan(a: tuple[int, int], b: tuple[int, int]) -> int:
     return abs(a[0] - b[0]) + abs(a[1] - b[1])
 
 
-@dataclass(frozen=True)
-class Route:
+class Route(NamedTuple):
     path: tuple[tuple[int, int], ...]
     latency: int
 
 
-@dataclass
-class FeedbackAttachment:
+class FeedbackAttachment(_Record):
     """In-grid realization of one loop-carried dependency."""
 
-    edge_key: tuple
-    producer: int
-    consumer: int
-    consumer_slot: int
-    diff: int
-    self_loop: bool
-    eor_node: int | None = None  # end-of-route update node, when producer != consumer
-    eor_cell: tuple[int, int] | None = None
-    extra_latency: int = 0  # routing cycles beyond the single feedback-write cycle
+    _fields = ("edge_key", "producer", "consumer", "consumer_slot", "diff", "self_loop",
+               "eor_node", "eor_cell", "extra_latency")
+
+    def __init__(self, edge_key: tuple, producer: int, consumer: int, consumer_slot: int,
+                 diff: int, self_loop: bool, eor_node: int | None = None,
+                 eor_cell: tuple[int, int] | None = None, extra_latency: int = 0):
+        self.edge_key = edge_key
+        self.producer = producer
+        self.consumer = consumer
+        self.consumer_slot = consumer_slot
+        self.diff = diff
+        self.self_loop = self_loop
+        self.eor_node = eor_node  # end-of-route update node, when producer != consumer
+        self.eor_cell = eor_cell
+        # routing cycles beyond the single feedback-write cycle
+        self.extra_latency = extra_latency
 
     @property
     def feedback_latency(self) -> int:
@@ -182,13 +192,18 @@ class FeedbackAttachment:
         return 1 + self.extra_latency
 
 
-@dataclass
-class GridConfig:
-    spec: GridSpec
-    placement: dict[int, tuple[int, int]]
-    routes: dict[tuple, Route]
-    feedback: list[FeedbackAttachment]
-    baseline_only: list[tuple]  # back-edge keys with no in-grid feedback (consecutive)
+class GridConfig(_Record):
+    _fields = ("spec", "placement", "routes", "feedback", "baseline_only")
+
+    def __init__(self, spec: GridSpec, placement: dict[int, tuple[int, int]],
+                 routes: dict[tuple, Route], feedback: list[FeedbackAttachment],
+                 baseline_only: list[tuple]):
+        self.spec = spec
+        self.placement = placement
+        self.routes = routes
+        self.feedback = feedback
+        # back-edge keys with no in-grid feedback (consecutive)
+        self.baseline_only = baseline_only
 
     def reinjection_latency(self, consumer: int) -> int:
         """Hop cost of re-entering the grid at the I/O port and reaching the

@@ -13,7 +13,9 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from typing import NamedTuple
+
+from . import _FRESH, _Record
 
 ALU_OPS = ("add", "sub", "mul", "cmp", "and", "or", "shift")
 FPU_OPS = ("fadd", "fmul", "fdiv")
@@ -62,8 +64,7 @@ class ExecError(Exception):
         super().__init__(f"{code}: {message}")
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     id: int
     kind: str
     value: int | float | None = None  # const nodes only
@@ -77,8 +78,7 @@ class Node:
         return KIND_INFO[self.kind][1]
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     src: int
     dst: int
     slot: int
@@ -89,8 +89,7 @@ class Edge:
         return (self.src, self.dst, self.slot, self.kind)
 
 
-@dataclass(frozen=True)
-class LiveIn:
+class LiveIn(NamedTuple):
     name: str
     node: int
     slot: int
@@ -106,13 +105,17 @@ class LiveIn:
         return [*self.values[:n], *self.values[-1:] * (n - len(self.values))]
 
 
-@dataclass
-class DataflowGraph:
-    nodes: list[Node] = field(default_factory=list)
-    edges: list[Edge] = field(default_factory=list)
-    live_in: dict[str, LiveIn] = field(default_factory=dict)
-    live_out: list[int] = field(default_factory=list)
-    memory_image: dict[int, int | float] = field(default_factory=dict)
+class DataflowGraph(_Record):
+    _fields = ("nodes", "edges", "live_in", "live_out", "memory_image")
+
+    def __init__(self, nodes: list[Node] = _FRESH, edges: list[Edge] = _FRESH,
+                 live_in: dict[str, LiveIn] = _FRESH, live_out: list[int] = _FRESH,
+                 memory_image: dict[int, int | float] = _FRESH):
+        self.nodes = [] if nodes is _FRESH else nodes
+        self.edges = [] if edges is _FRESH else edges
+        self.live_in = {} if live_in is _FRESH else live_in
+        self.live_out = [] if live_out is _FRESH else live_out
+        self.memory_image = {} if memory_image is _FRESH else memory_image
 
     def node(self, nid: int) -> Node:
         return self.nodes[nid]
@@ -135,8 +138,7 @@ class DataflowGraph:
         return feeders
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     code: str
     message: str
     severity: str = "error"  # "error" | "warning"

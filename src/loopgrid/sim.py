@@ -99,8 +99,8 @@ state.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
+from . import _Record
 from .analysis import LoopPattern, classify, find_deps
 from .grid import GridConfig, GridSpec, _require_int
 from .ir import OPS, DataflowGraph, DfgError, Node
@@ -110,15 +110,16 @@ FAST_FORWARD_MIN_THREADS = 64  # untraced runs this long look for a periodic sta
 FAST_FORWARD_MAX_STEPS = 4096  # steps watched for a repeat before giving up
 
 
-@dataclass
-class MachineParams:
-    mode: str = "dr"  # "baseline" | "dr"
-    n_threads: int = 1
-    mem_latency: int = 20
-    mem_max_outstanding: int | None = None  # None = unlimited
-    spill_latency: int = 8
+class MachineParams(_Record):
+    _fields = ("mode", "n_threads", "mem_latency", "mem_max_outstanding", "spill_latency")
 
-    def __post_init__(self):
+    def __init__(self, mode: str = "dr", n_threads: int = 1, mem_latency: int = 20,
+                 mem_max_outstanding: int | None = None, spill_latency: int = 8):
+        self.mode = mode  # "baseline" | "dr"
+        self.n_threads = n_threads
+        self.mem_latency = mem_latency
+        self.mem_max_outstanding = mem_max_outstanding  # None = unlimited
+        self.spill_latency = spill_latency
         if self.mode not in ("baseline", "dr"):
             raise ValueError(f"unknown mode '{self.mode}'")
         _require_int("n_threads", self.n_threads, 1)
@@ -133,17 +134,23 @@ def unit_latency(nd: Node, spec: GridSpec, params: MachineParams) -> int:
     return params.mem_latency if nd.kind == "load" else spec.latencies[nd.latency_class]
 
 
-@dataclass
-class SimReport:
-    mode: str
-    n_threads: int
-    total_cycles: int
-    fires: dict[int, int]
-    stalls: dict[int, int]
-    dropped_retags: int
-    live_columns: dict[int, list]  # live-out node id -> its value per thread id
-    measured_ii: float | None
-    selector_drops: int = 0  # no state sets it: a dependent slot takes seeds below its diff only
+class SimReport(_Record):
+    _fields = ("mode", "n_threads", "total_cycles", "fires", "stalls", "dropped_retags",
+               "live_columns", "measured_ii", "selector_drops")
+
+    def __init__(self, mode: str, n_threads: int, total_cycles: int, fires: dict[int, int],
+                 stalls: dict[int, int], dropped_retags: int, live_columns: dict[int, list],
+                 measured_ii: float | None, selector_drops: int = 0):
+        self.mode = mode
+        self.n_threads = n_threads
+        self.total_cycles = total_cycles
+        self.fires = fires
+        self.stalls = stalls
+        self.dropped_retags = dropped_retags
+        self.live_columns = live_columns  # live-out node id -> its value per thread id
+        self.measured_ii = measured_ii
+        # no state sets it: a dependent slot takes seeds below its diff only
+        self.selector_drops = selector_drops
 
     @property
     def live_out(self) -> list[dict[int, object]]:
@@ -340,7 +347,7 @@ class SimState:
         self.issue_runs: list[tuple] = []
 
         # periodic fast-forward: the (unit index, thread id) fires since the
-        # last skip while looking for a repeat, else None
+        # stack's bottom entry was pushed while looking for a repeat, else None
         self._log = None
         if trace is None and n >= FAST_FORWARD_MIN_THREADS:
             self._log = []
@@ -547,7 +554,10 @@ class SimState:
         to the new top is a repeat, found at most one period after the run
         first repeats.  Only steps that complete a live-out value are sampled
         (the state before a step decides that, so a repeating run repeats
-        there too); the step budget counts every step since the last skip."""
+        there too); the step budget counts every step since the last skip.
+        The fire log is cleared when the stack's bottom changes: an entry
+        replays only the fires from its own position on, and no entry lies
+        below the bottom one."""
         self._budget -= 1
         if self._budget < 0:
             self._log = None
@@ -564,9 +574,10 @@ class SimState:
                 # look again: a stopped unit (a const done issuing) can leave
                 # the others to repeat with a longer reach
                 stack.clear()
-                self._log = []
                 self._budget = FAST_FORWARD_MAX_STEPS
                 return
+        if not stack:
+            self._log.clear()
         stack.append((found, self.cycle, [u.fires for u in self.units],
                       [self._stall_total(u) for u in self.units], self._missing,
                       len(self.primary_issues), len(self._log)))

@@ -21,7 +21,9 @@ first count level at which more routes are found than the cap keeps.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from typing import NamedTuple
+
+from . import _FRESH, _Record
 
 DEFAULT_MAX_LEN = 32
 DEFAULT_MAX_ROUTES = 4096
@@ -35,11 +37,15 @@ class TraceError(Exception):
         super().__init__(message + (f" (line {line})" if line else ""))
 
 
-@dataclass
-class RoutineGraph:
-    name: str
-    instr_counts: dict[int, int] = field(default_factory=dict)  # bb -> instrs per execution
-    edge_counts: dict[tuple[int, int], int] = field(default_factory=dict)
+class RoutineGraph(_Record):
+    _fields = ("name", "instr_counts", "edge_counts")
+
+    def __init__(self, name: str, instr_counts: dict[int, int] = _FRESH,
+                 edge_counts: dict[tuple[int, int], int] = _FRESH):
+        self.name = name
+        # bb -> instrs per execution
+        self.instr_counts = {} if instr_counts is _FRESH else instr_counts
+        self.edge_counts = {} if edge_counts is _FRESH else edge_counts
 
     def _exec_counts(self) -> dict[int, int]:
         """Block -> executions: the larger of its in and out traversals."""
@@ -189,8 +195,7 @@ def ingest_file(path: str) -> dict[str, RoutineGraph]:
         return ingest(fh)
 
 
-@dataclass(frozen=True)
-class LoopRoute:
+class LoopRoute(NamedTuple):
     blocks: tuple[int, ...]  # canonical rotation: smallest bb first
     iterations: int
     instructions_per_iteration: int
@@ -291,22 +296,30 @@ def enumerate_loops(g: RoutineGraph, max_len: int = DEFAULT_MAX_LEN,
     return routes, len(found) > max_routes
 
 
-@dataclass
-class RoutineStats:
-    name: str
-    total_instructions: int
-    prevalence: float  # fraction of whole-benchmark instructions
-    loop_fraction: float  # fraction of routine time spent inside loop routes
-    routes: list[LoopRoute]
-    truncated: bool
-    filtered: bool  # excluded from the aggregate by the prevalence cutoff
+class RoutineStats(_Record):
+    _fields = ("name", "total_instructions", "prevalence", "loop_fraction", "routes",
+               "truncated", "filtered")
+
+    def __init__(self, name: str, total_instructions: int, prevalence: float,
+                 loop_fraction: float, routes: list[LoopRoute], truncated: bool,
+                 filtered: bool):
+        self.name = name
+        self.total_instructions = total_instructions
+        self.prevalence = prevalence  # fraction of whole-benchmark instructions
+        self.loop_fraction = loop_fraction  # fraction of routine time spent inside loop routes
+        self.routes = routes
+        self.truncated = truncated
+        self.filtered = filtered  # excluded from the aggregate by the prevalence cutoff
 
 
-@dataclass
-class BenchmarkStats:
-    routines: list[RoutineStats]
-    total_instructions: int
-    loop_fraction: float  # aggregate over routines above the cutoff
+class BenchmarkStats(_Record):
+    _fields = ("routines", "total_instructions", "loop_fraction")
+
+    def __init__(self, routines: list[RoutineStats], total_instructions: int,
+                 loop_fraction: float):
+        self.routines = routines
+        self.total_instructions = total_instructions
+        self.loop_fraction = loop_fraction  # aggregate over routines above the cutoff
 
     def to_json(self) -> dict:
         return {

@@ -143,6 +143,19 @@ def test_load_experiment_refuses_malformed_documents(fixtures, tmp_path, doc, ke
         load_experiment(str(path))
 
 
+def test_experiment_refuses_null_overrides(fixtures, tmp_path):
+    # an omitted 'overrides' is a new empty object; null is not one
+    dfg = str(fixtures / "scenario1.dfg")
+    message = "'overrides' must be a JSON object, got None"
+    with pytest.raises(ValueError, match=message):
+        Experiment(dfg=dfg, overrides=None)
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({"dfg": dfg, "overrides": None}))
+    with pytest.raises(ValueError, match=message):
+        load_experiment(str(path))
+    assert Experiment(dfg=dfg).overrides == {}
+
+
 def test_load_experiment_keeps_a_null_grid(fixtures, tmp_path):
     path = tmp_path / "exp.json"
     path.write_text(json.dumps({"dfg": str(fixtures / "scenario1.dfg"), "grid": None}))

@@ -56,8 +56,9 @@ FRONT_END = ["loopgrid.analysis", "loopgrid.ir"]
 SIMULATOR = FRONT_END + ["loopgrid.grid", "loopgrid.sim"]
 
 
-# the criterion-7 invocations; EXP stands for an experiment file
-@pytest.mark.parametrize("args, modules", [
+# the criterion-7 invocations and the modules each loads; EXP stands for an
+# experiment file
+COMMANDS = [
     (["analyze", "fixtures/scenario3.dfg"], FRONT_END),
     (["map", "fixtures/scenario2.dfg"], FRONT_END + ["loopgrid.grid"]),
     (["sim", "fixtures/scenario4.dfg", "--mode", "dr", "--threads", "32"], SIMULATOR),
@@ -65,15 +66,41 @@ SIMULATOR = FRONT_END + ["loopgrid.grid", "loopgrid.sim"]
     (["suite", "--dir", "fixtures/suite", "--out", "-"], SIMULATOR + ["loopgrid.bench"]),
     (["trace", "--in", "fixtures/traces/coverage90.trc", "--coverage", "0.90,0.95"],
      ["loopgrid.traceflow"]),
-], ids=["analyze", "map", "sim", "sweep", "suite", "trace"])
-def test_each_command_loads_only_the_modules_it_runs(fixtures, tmp_path, args, modules):
+]
+COMMAND_IDS = [args[0] for args, _ in COMMANDS]
+
+
+def command_code(args, fixtures, tmp_path) -> str:
+    """Code that imports ``loopgrid.cli`` and runs one invocation through
+    ``main``, its output discarded; run it from the fixtures' parent."""
     exp = tmp_path / "exp.json"
     exp.write_text(json.dumps({"dfg": str(fixtures / "scenario1.dfg"), "threads": [8, 32]}))
     argv = [str(exp) if a == "EXP" else a for a in args]
-    got = loaded_modules("import contextlib, io, loopgrid.cli\n"
-                         "with contextlib.redirect_stdout(io.StringIO()):\n"
-                         f"    assert loopgrid.cli.main({argv!r}) == 0\n", cwd=fixtures.parent)
+    return ("import contextlib, io, loopgrid.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert loopgrid.cli.main({argv!r}) == 0\n")
+
+
+@pytest.mark.parametrize("args, modules", COMMANDS, ids=COMMAND_IDS)
+def test_each_command_loads_only_the_modules_it_runs(fixtures, tmp_path, args, modules):
+    got = loaded_modules(command_code(args, fixtures, tmp_path), cwd=fixtures.parent)
     assert got == sorted(["loopgrid", "loopgrid.cli"] + modules)
+
+
+@pytest.mark.parametrize("args", [args for args, _ in COMMANDS], ids=COMMAND_IDS)
+def test_no_command_imports_dataclasses_or_inspect(fixtures, tmp_path, args):
+    # the records are NamedTuples and plain classes, so a one-shot process
+    # neither imports dataclasses (which imports inspect) nor compiles the
+    # methods it generates; compared with the modules held before the import
+    # of loopgrid.cli, since start-up .pth hooks load modules of their own
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            + command_code(args, fixtures, tmp_path)
+            + "print(*sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=fixtures.parent)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
 
 
 def test_lazy_package_exports():

@@ -70,6 +70,14 @@ def test_grid_spec_rejects_latencies_the_simulator_cannot_schedule(bad):
         GridSpec(**bad)
 
 
+@pytest.mark.parametrize("key", ["unit_map", "latencies"])
+def test_grid_spec_refuses_a_missing_mapping(key):
+    # None is no grid layout or latency table: refused by name, not with an
+    # AttributeError from the checks that read it
+    with pytest.raises(ValueError, match=f"{key} must be a JSON object, got NoneType"):
+        GridSpec(**{key: None})
+
+
 def test_grid_spec_built_in_code_needs_every_latency_class(fixtures):
     # map_graph would look up the missing class and raise a bare KeyError
     with pytest.raises(ValueError, match="latency class 'fpu' is missing"):

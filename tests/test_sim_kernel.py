@@ -496,6 +496,28 @@ def test_fast_forward_watches_each_stretch_between_skips(monkeypatch):
     assert steps < 10_000
 
 
+def test_fire_log_starts_at_the_stack_bottom(monkeypatch, fixtures):
+    # _watch clears the fire log when it pushes onto an empty stack, so the
+    # log holds no fire below the bottom entry's position, which no skip reads
+    bottoms = 0
+    step = sim.SimState.step
+
+    def checked(self):
+        nonlocal bottoms
+        step(self)
+        if self._log is not None and self._stack:
+            assert self._stack[0][-1] == 0
+            bottoms += 1
+
+    monkeypatch.setattr(sim.SimState, "step", checked)
+    runs = [(random_dfg(33), "baseline", 20_000)]
+    for path in sorted(fixtures.glob("*.dfg")):
+        runs += [(load_dfg(str(path)), mode, 512) for mode in ("baseline", "dr")]
+    for g, mode, n in runs:
+        sim.simulate(map_graph(g), g, MachineParams(mode=mode, n_threads=n))
+    assert bottoms
+
+
 @pytest.mark.parametrize("mode", ["baseline", "dr"])
 @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.dfg")))
 def test_first_repeat_is_found_within_one_period(monkeypatch, name, mode):
