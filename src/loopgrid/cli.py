@@ -7,6 +7,8 @@ deterministic: identical inputs produce byte-identical results.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
 import sys
 
@@ -156,6 +158,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Freeze every object at exit, so the interpreter's shutdown collections
+    # walk none of them: refcounting still frees them, and only cycles go
+    # uncollected, which the OS reclaims with the process.  Registered here,
+    # not at import, since long-lived processes import this module; the
+    # unregister keeps it to one registration per process.
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -70,7 +70,11 @@ class GridSpec(_Record):
                 raise ValueError(f"latency class {cls!r} is missing")
         _require_int("token_buffer_depth", self.token_buffer_depth, 1)
         _require_object("unit_map", self.unit_map)
-        for (r, c), k in self.unit_map.items():
+        for cell, k in self.unit_map.items():
+            if not (isinstance(cell, tuple) and len(cell) == 2 and all(
+                    isinstance(x, int) and not isinstance(x, bool) for x in cell)):
+                raise ValueError(f"unit_map key {cell!r} is not a (row, col) pair of integers")
+            r, c = cell
             if not (0 <= r < self.rows and 0 <= c < self.cols):
                 raise ValueError(f"cell ({r},{c}) lies outside the {self.rows}x{self.cols} grid")
             if k not in UNIT_CLASSES:

@@ -471,25 +471,32 @@ def memory_carried(g: DataflowGraph) -> list[str]:
     The simulator does not order a load after an older thread's store, so
     such a pair can make it disagree with the reference.  An address slot
     takes a const producer's value or a live-in's listed values; an address
-    any other producer computes is unknown and is not refused.
+    any other producer computes can be any address, so it meets every store
+    (for a load) or every load (for a store).
     """
     kinds = {nd.id: nd.kind for nd in g.nodes}
     consts = {nd.id: nd.value for nd in g.nodes if nd.kind == "const"}
-    addrs: dict[int, set | None] = {nid: set() for nid, k in kinds.items()
-                                    if k in ("load", "store")}
+    addrs: dict[int, set] = {nid: set() for nid, k in kinds.items() if k in ("load", "store")}
+    computed: dict[int, int] = {}  # load or store -> the node computing its address
     for e in g.edges:
-        if e.slot == 0 and addrs.get(e.dst) is not None:
+        if e.slot == 0 and e.dst in addrs:
             if e.src in consts:
                 addrs[e.dst].add(consts[e.src])
             else:
-                addrs[e.dst] = None
+                computed[e.dst] = e.src
     for lv in g.live_in.values():
-        if lv.slot == 0 and addrs.get(lv.node) is not None:
+        if lv.slot == 0 and lv.node in addrs:
             addrs[lv.node].update(lv.values)
-    known = [(nid, a) for nid, a in addrs.items() if a]
-    return [f"load {ld} and store {st} can both use address {min(la & sa)}"
-            for ld, la in known if kinds[ld] == "load"
-            for st, sa in known if kinds[st] == "store" and la & sa]
+    stores = [nid for nid in addrs if kinds[nid] == "store"]
+    out = []
+    for ld in (nid for nid in addrs if kinds[nid] == "load"):
+        for st in stores:
+            by, common = computed.get(ld, computed.get(st)), addrs[ld] & addrs[st]
+            if by is not None:
+                out.append(f"load {ld} and store {st} can both use the address node {by} computes")
+            elif common:
+                out.append(f"load {ld} and store {st} can both use address {min(common)}")
+    return out
 
 
 def topo_order(g: DataflowGraph) -> list[int] | None:

@@ -134,6 +134,13 @@ def unit_latency(nd: Node, spec: GridSpec, params: MachineParams) -> int:
     return params.mem_latency if nd.kind == "load" else spec.latencies[nd.latency_class]
 
 
+def spill_delay(config: GridConfig, consumer: int, params: MachineParams) -> int:
+    """Cycles from a spilled carry's completion to its arrival at the consumer:
+    the flat spill latency plus the re-entry hops, and at least one, since an
+    arrival must land after the cycle that schedules it."""
+    return max(config.reinjection_latency(consumer) + params.spill_latency, 1)
+
+
 class SimReport(_Record):
     _fields = ("mode", "n_threads", "total_cycles", "fires", "stalls", "dropped_retags",
                "live_columns", "measured_ii", "selector_drops")
@@ -269,8 +276,8 @@ class SimState:
             if e.kind == "back":
                 u.sources[e.slot] = (src.index, e.diff, None)
                 if e.key() in spilled:
-                    delay = config.reinjection_latency(e.dst) + params.spill_latency
-                    src.carriers.append((u.index, e.slot, e.diff, max(delay, 1)))
+                    src.carriers.append((u.index, e.slot, e.diff,
+                                         spill_delay(config, e.dst, params)))
             else:
                 u.sources[e.slot] = (src.index, 0, None)
                 src.links.append((u.index, e.slot, config.routes[e.key()].latency))
@@ -724,8 +731,8 @@ def steady_state_ii(config: GridConfig, dfg: DataflowGraph, params: MachineParam
     Only defined for a single realized dependency of diff 1 (with diff d,
     d threads share the recurrence) whose pattern is single-path or
     diverging-after.  dr: dependent-path compute and route cycles plus the
-    feedback write.  baseline: the same path cost plus the spill round trip
-    (flat spill latency + port-to-consumer re-entry hops).
+    feedback write.  baseline: the same path cost plus the spill round trip,
+    ``spill_delay`` (flat spill latency + port-to-consumer re-entry hops).
     """
     deps = find_deps(dfg, config.spec.latencies)
     if len(deps) != 1:
@@ -748,4 +755,4 @@ def steady_state_ii(config: GridConfig, dfg: DataflowGraph, params: MachineParam
         if att is None:
             raise IIOracleError("unsupported-pattern", "dependency has no in-grid feedback")
         return lat + att.feedback_latency
-    return lat + config.reinjection_latency(dep.consumer) + params.spill_latency
+    return lat + spill_delay(config, dep.consumer, params)

@@ -1,11 +1,13 @@
 """Command-line entry points: behavior, formats, and determinism."""
 
+import gc
 import json
 import subprocess
 import sys
 
 import pytest
 
+from loopgrid.cli import main
 from loopgrid.grid import default_grid
 from loopgrid.ir import format_dfg
 
@@ -101,6 +103,34 @@ def test_no_command_imports_dataclasses_or_inspect(fixtures, tmp_path, args):
                           cwd=fixtures.parent)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+def test_a_cli_process_freezes_the_collector_once_at_exit(fixtures):
+    # atexit handlers run last in, first out, so a probe registered before
+    # main runs after main's freeze and sees what the interpreter's shutdown
+    # collections would walk; gc.freeze is wrapped to count its calls
+    code = ("import atexit, gc, sys\n"
+            "freeze, calls = gc.freeze, []\n"
+            "gc.freeze = lambda: calls.append(freeze())\n"
+            "atexit.register(lambda: print(len(calls), gc.get_freeze_count(), file=sys.stderr))\n"
+            "import loopgrid.cli\n"
+            f"argv = ['analyze', {str(fixtures / 'scenario3.dfg')!r}]\n"
+            "sys.exit(loopgrid.cli.main(argv) or loopgrid.cli.main(argv))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("dep ")  # still flushed after the freeze
+    calls, frozen = map(int, proc.stderr.split())
+    assert calls == 1 and frozen > 1000
+
+
+def test_main_leaves_the_collector_running(fixtures, capsys):
+    # main only registers the freeze: a process that goes on after it keeps
+    # collecting and holds no frozen object
+    before = gc.isenabled(), gc.get_freeze_count()
+    for _ in range(2):
+        assert main(["analyze", str(fixtures / "scenario3.dfg")]) == 0
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+    assert capsys.readouterr().out.startswith("dep ")
 
 
 def test_lazy_package_exports():
@@ -227,6 +257,18 @@ def test_memory_carried_exits_nonzero(data_dir, cmd):
                           capture_output=True, text=True)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: memory-carried")
+
+
+@pytest.mark.parametrize("cmd", [["map"], ["sim", "--mode", "dr", "--threads", "8"],
+                                 ["sim", "--mode", "baseline", "--threads", "8"]],
+                         ids=["map", "sim-dr", "sim-baseline"])
+def test_computed_address_exits_nonzero(data_dir, cmd):
+    proc = subprocess.run(CLI + cmd + [str(data_dir / "computed_address.dfg")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: memory-carried: load 2 and store 5 can both use "
+                           "the address node 1 computes\n")
 
 
 def test_sweep_keeps_the_error_code(data_dir, tmp_path):

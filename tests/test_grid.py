@@ -1,6 +1,7 @@
 """Placement, routing, and feedback attachment on the unit grid."""
 
 import json
+import re
 import tracemalloc
 from collections import Counter
 
@@ -76,6 +77,14 @@ def test_grid_spec_refuses_a_missing_mapping(key):
     # AttributeError from the checks that read it
     with pytest.raises(ValueError, match=f"{key} must be a JSON object, got NoneType"):
         GridSpec(**{key: None})
+
+
+@pytest.mark.parametrize("key", [5, ("a", "b"), (0,), (True, 0)],
+                         ids=["int", "strings", "one-int", "bool"])
+def test_grid_spec_refuses_a_unit_map_key_that_is_no_cell(key):
+    # a spec built in code used to fail with a TypeError or an unpacking error
+    with pytest.raises(ValueError, match=re.escape(repr(key))):
+        GridSpec(unit_map={key: "COMPUTE"})
 
 
 def test_grid_spec_built_in_code_needs_every_latency_class(fixtures):
@@ -295,6 +304,13 @@ def test_map_rejects_intra_cycle(data_dir):
 def test_map_refuses_memory_carried_graph(data_dir):
     with pytest.raises(MapError) as exc:
         map_graph(load_dfg(str(data_dir / "memory_carried.dfg")))
+    assert exc.value.code == "memory-carried"
+
+
+def test_map_refuses_a_computed_address(data_dir):
+    # both modes used to return [1] * 8 here, against the reference's 1..8
+    with pytest.raises(MapError, match="the address node 1 computes") as exc:
+        map_graph(load_dfg(str(data_dir / "computed_address.dfg")))
     assert exc.value.code == "memory-carried"
 
 

@@ -84,6 +84,13 @@ def test_validate_refuses_memory_carried_graph(data_dir):
     assert reference_execute(g, 8) == [{3: t} for t in range(1, 9)]
 
 
+def test_validate_refuses_a_computed_address(data_dir):
+    g = load_dfg(str(data_dir / "computed_address.dfg"))
+    assert [(v.code, v.message) for v in validate(g)] == [
+        ("memory-carried", "load 2 and store 5 can both use the address node 1 computes")]
+    assert reference_execute(g, 8) == [{4: t} for t in range(1, 9)]
+
+
 LOAD_STORE = "node 0 load\nnode 1 store\nedge 0 1 1\nliveout 1\nmem 0 1\nmem 5 2\n"
 
 
@@ -92,8 +99,8 @@ LOAD_STORE = "node 0 load\nnode 1 store\nedge 0 1 1\nliveout 1\nmem 0 1\nmem 5 2
     ("node 2 const 0\nedge 2 0 0\nnode 3 const 0.0\nedge 3 1 0", True),  # 0 == 0.0
     ("livein a 0 0 0 5\nnode 2 const 5\nedge 2 1 0", True),
     ("livein a 0 0 0 5\nlivein b 1 0 7", False),
-    # an address another op computes is unknown and not refused
-    ("livein a 0 0 0\nnode 2 const 0\nnode 3 add\nedge 2 3 0\nedge 2 3 1\nedge 3 1 0", False),
+    # an address another op computes can be any address
+    ("livein a 0 0 0\nnode 2 const 0\nnode 3 add\nedge 2 3 0\nedge 2 3 1\nedge 3 1 0", True),
 ], ids=["disjoint", "int-float", "livein-const", "liveins", "computed"])
 def test_memory_carried_reads_const_and_livein_addresses(feeds, refused):
     g = parse_dfg(LOAD_STORE + feeds)

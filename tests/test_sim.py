@@ -5,7 +5,7 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from loopgrid.grid import MapError, map_graph
+from loopgrid.grid import GridSpec, MapError, default_grid, map_graph
 from loopgrid.ir import (DfgError, ExecError, LiveIn, load_dfg, parse_dfg, reference_execute,
                          validate)
 from loopgrid.sim import (
@@ -371,12 +371,15 @@ def test_ii_oracle_refuses_carry_distance_above_one():
 
 
 def test_ii_oracle_matches_measurement_where_supported(fixtures):
-    for name in ("scenario1.dfg", "scenario1f.dfg", "scenario2.dfg",
-                 "scenario4.dfg", "wrf_nomem.dfg", "wrf_mem.dfg"):
-        g = load_dfg(str(fixtures / name))
-        cfg = map_graph(g)
-        for mode in ("dr", "baseline"):
-            p = MachineParams(mode=mode, n_threads=128)
-            rep = simulate(cfg, g, p)
-            assert rep.measured_ii == float(steady_state_ii(cfg, g, p)), (
-                name, mode)
+    # with no hops and no spill latency a spilled carry still takes a cycle
+    for hop, spill in ((1, 8), (0, 0)):
+        spec = GridSpec(unit_map=default_grid().unit_map, hop_latency=hop)
+        for name in ("scenario1.dfg", "scenario1f.dfg", "scenario2.dfg",
+                     "scenario4.dfg", "wrf_nomem.dfg", "wrf_mem.dfg"):
+            g = load_dfg(str(fixtures / name))
+            cfg = map_graph(g, spec)
+            for mode in ("dr", "baseline"):
+                p = MachineParams(mode=mode, n_threads=128, spill_latency=spill)
+                rep = simulate(cfg, g, p)
+                assert rep.measured_ii == float(steady_state_ii(cfg, g, p)), (
+                    name, hop, spill, mode)
