@@ -134,13 +134,6 @@ def unit_latency(nd: Node, spec: GridSpec, params: MachineParams) -> int:
     return params.mem_latency if nd.kind == "load" else spec.latencies[nd.latency_class]
 
 
-def spill_delay(config: GridConfig, consumer: int, params: MachineParams) -> int:
-    """Cycles from a spilled carry's completion to its arrival at the consumer:
-    the flat spill latency plus the re-entry hops, and at least one, since an
-    arrival must land after the cycle that schedules it."""
-    return max(config.reinjection_latency(consumer) + params.spill_latency, 1)
-
-
 class SimReport(_Record):
     _fields = ("mode", "n_threads", "total_cycles", "fires", "stalls", "dropped_retags",
                "live_columns", "measured_ii", "selector_drops")
@@ -276,8 +269,10 @@ class SimState:
             if e.kind == "back":
                 u.sources[e.slot] = (src.index, e.diff, None)
                 if e.key() in spilled:
-                    src.carriers.append((u.index, e.slot, e.diff,
-                                         spill_delay(config, e.dst, params)))
+                    # spill latency plus re-entry hops, and at least one cycle,
+                    # since an arrival must land after the cycle that schedules it
+                    src.carriers.append((u.index, e.slot, e.diff, max(
+                        config.reinjection_latency(e.dst) + params.spill_latency, 1)))
             else:
                 u.sources[e.slot] = (src.index, 0, None)
                 src.links.append((u.index, e.slot, config.routes[e.key()].latency))
@@ -730,9 +725,10 @@ def steady_state_ii(config: GridConfig, dfg: DataflowGraph, params: MachineParam
 
     Only defined for a single realized dependency of diff 1 (with diff d,
     d threads share the recurrence) whose pattern is single-path or
-    diverging-after.  dr: dependent-path compute and route cycles plus the
-    feedback write.  baseline: the same path cost plus the spill round trip,
-    ``spill_delay`` (flat spill latency + port-to-consumer re-entry hops).
+    diverging-after.  It is the recurrence bound (Rau's RecMII) over the arcs
+    ``SimState`` builds: the dependent path's unit and route latencies plus
+    the back edge's carrier delay, the feedback write in dr or the spill plus
+    re-entry in baseline.  A graph ``simulate`` refuses raises its ``DfgError``.
     """
     deps = find_deps(dfg, config.spec.latencies)
     if len(deps) != 1:
@@ -744,15 +740,12 @@ def steady_state_ii(config: GridConfig, dfg: DataflowGraph, params: MachineParam
     if pattern not in (LoopPattern.SINGLE_PATH, LoopPattern.DIVERGING_AFTER):
         raise IIOracleError("unsupported-pattern", f"pattern {pattern.value} not supported")
 
-    path = dep.dependent_path
-    lat = sum(unit_latency(dfg.node(nid), config.spec, params) for nid in path)
-    for a, b in zip(path, path[1:]):
-        edge = next(e for e in dfg.intra_edges() if e.src == a and e.dst == b)
-        lat += config.routes[edge.key()].latency
-
-    if params.mode == "dr":
-        att = next((f for f in config.feedback if f.edge_key == dep.back_edge.key()), None)
-        if att is None:
-            raise IIOracleError("unsupported-pattern", "dependency has no in-grid feedback")
-        return lat + att.feedback_latency
-    return lat + spill_delay(config, dep.consumer, params)
+    # the path runs consumer -> producer, whose carrier closes the recurrence
+    by_id = {u.node.id: u for u in SimState(config, dfg, params).units}
+    path = [by_id[nid] for nid in dep.dependent_path]
+    lat = sum(u.latency for u in path) + sum(
+        next(link for d, _s, link in a.links if d == b.index) for a, b in zip(path, path[1:]))
+    for c, slot, _d, delay in path[-1].carriers:
+        if c == path[0].index and slot == dep.consumer_slot:
+            return lat + delay
+    raise IIOracleError("unsupported-pattern", "dependency has no in-grid feedback")

@@ -5,7 +5,7 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from loopgrid.grid import GridSpec, MapError, default_grid, map_graph
+from loopgrid.grid import GridConfig, GridSpec, MapError, default_grid, map_graph
 from loopgrid.ir import (DfgError, ExecError, LiveIn, load_dfg, parse_dfg, reference_execute,
                          validate)
 from loopgrid.sim import (
@@ -368,6 +368,35 @@ def test_ii_oracle_refuses_carry_distance_above_one():
         with pytest.raises(IIOracleError) as exc:
             steady_state_ii(cfg, g, MachineParams(mode=mode, n_threads=512))
         assert exc.value.code == "unsupported-pattern"
+
+
+def test_ii_oracle_refuses_what_simulate_refuses():
+    # the unseeded back edge feeds no live-out, so simulate cannot run the
+    # graph; the oracle reads the arcs SimState builds and refuses it the same
+    # way, where summing the path alone would answer 2
+    g = parse_dfg("node 0 const 1\nnode 1 add\nedge 0 1 1\nback 1 1 0 1\n"
+                  "node 2 const 5\nnode 3 add\nedge 2 3 0\nedge 2 3 1\nliveout 3")
+    cfg = map_graph(g)
+    p = MachineParams(mode="dr", n_threads=8)
+    with pytest.raises(DfgError) as sim_exc:
+        simulate(cfg, g, p)
+    with pytest.raises(DfgError) as exc:
+        steady_state_ii(cfg, g, p)
+    assert exc.value.code == sim_exc.value.code == "missing-livein"
+    assert str(exc.value) == str(sim_exc.value)
+
+
+def test_ii_oracle_refuses_a_back_edge_with_no_carrier(fixtures):
+    # a config with neither a feedback attachment nor a spill leaves the dr
+    # run no carrier for the back edge; baseline spills every back edge
+    g = load_dfg(str(fixtures / "scenario1.dfg"))
+    mapped = map_graph(g)
+    cfg = GridConfig(mapped.spec, mapped.placement, mapped.routes, [], [])
+    with pytest.raises(IIOracleError) as exc:
+        steady_state_ii(cfg, g, MachineParams(mode="dr", n_threads=64))
+    assert str(exc.value) == "unsupported-pattern: dependency has no in-grid feedback"
+    p = MachineParams(mode="baseline", n_threads=64)
+    assert steady_state_ii(cfg, g, p) == steady_state_ii(mapped, g, p) == 13
 
 
 def test_ii_oracle_matches_measurement_where_supported(fixtures):

@@ -1,9 +1,11 @@
 """Source hygiene: every name a module imports is used in it, every module
 imports only the standard library and the package itself, no module reads
-the environment (the program has no hidden switches), and README's error
-table lists exactly the codes the package raises."""
+the environment (the program has no hidden switches), README's error table
+lists exactly the codes the package raises, and every name perfbench's
+traced pass replaces exists."""
 
 import ast
+import importlib.util
 import pathlib
 import re
 import sys
@@ -88,3 +90,34 @@ def test_readme_lists_every_error_code():
     assert len(raised) > 30
     assert sorted(raised - table) == []  # raised but not documented
     assert sorted(table - raised) == []  # documented but never raised
+
+
+def test_perfbench_hooks_resolve(monkeypatch):
+    # a traced perfbench pass replaces each listed name in each namespace
+    # that calls it; a name a refactor drops would fail only that pass
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [(getattr(owner, "__name__", owner), attr)
+               for attr, owners in tracing.PATCHES.values() for owner in owners
+               if not hasattr(owner, attr)]
+    assert missing == []
+    # steady_state_ii calls find_deps and classify by sim's own names, so a
+    # pass that replaces them there sees its calls
+    from loopgrid import grid, ir, sim
+    calls = []
+
+    def spy(name):
+        real = getattr(sim, name)
+
+        def call(*args):
+            calls.append(name)
+            return real(*args)
+        return call
+
+    for name in ("find_deps", "classify"):
+        monkeypatch.setattr(sim, name, spy(name))
+    g = ir.load_dfg(str(ROOT / "fixtures" / "scenario1.dfg"))
+    sim.steady_state_ii(grid.map_graph(g), g, sim.MachineParams(mode="dr", n_threads=8))
+    assert sorted(set(calls)) == ["classify", "find_deps"]
