@@ -170,25 +170,19 @@ class Route(NamedTuple):
     latency: int
 
 
-class FeedbackAttachment(_Record):
+class FeedbackAttachment(NamedTuple):
     """In-grid realization of one loop-carried dependency."""
 
-    _fields = ("edge_key", "producer", "consumer", "consumer_slot", "diff", "self_loop",
-               "eor_node", "eor_cell", "extra_latency")
-
-    def __init__(self, edge_key: tuple, producer: int, consumer: int, consumer_slot: int,
-                 diff: int, self_loop: bool, eor_node: int | None = None,
-                 eor_cell: tuple[int, int] | None = None, extra_latency: int = 0):
-        self.edge_key = edge_key
-        self.producer = producer
-        self.consumer = consumer
-        self.consumer_slot = consumer_slot
-        self.diff = diff
-        self.self_loop = self_loop
-        self.eor_node = eor_node  # end-of-route update node, when producer != consumer
-        self.eor_cell = eor_cell
-        # routing cycles beyond the single feedback-write cycle
-        self.extra_latency = extra_latency
+    edge_key: tuple
+    producer: int
+    consumer: int
+    consumer_slot: int
+    diff: int
+    self_loop: bool
+    eor_node: int | None = None  # end-of-route update node, when producer != consumer
+    eor_cell: tuple[int, int] | None = None
+    # routing cycles beyond the single feedback-write cycle
+    extra_latency: int = 0
 
     @property
     def feedback_latency(self) -> int:
@@ -197,17 +191,22 @@ class FeedbackAttachment(_Record):
 
 
 class GridConfig(_Record):
-    _fields = ("spec", "placement", "routes", "feedback", "baseline_only")
+    _fields = ("spec", "placement", "routes", "feedback")
 
     def __init__(self, spec: GridSpec, placement: dict[int, tuple[int, int]],
-                 routes: dict[tuple, Route], feedback: list[FeedbackAttachment],
-                 baseline_only: list[tuple]):
+                 routes: dict[tuple, Route], feedback: list[FeedbackAttachment]):
         self.spec = spec
         self.placement = placement
         self.routes = routes
         self.feedback = feedback
-        # back-edge keys with no in-grid feedback (consecutive)
-        self.baseline_only = baseline_only
+
+    @property
+    def baseline_only(self) -> list[tuple]:
+        """Back-edge keys with no in-grid feedback (consecutive), in edge
+        order: each spills and re-enters in both modes."""
+        attached = {f.edge_key for f in self.feedback}
+        # an edge key is (src, dst, slot, kind)
+        return [k for k in self.routes if k[3] == "back" and k not in attached]
 
     def reinjection_latency(self, consumer: int) -> int:
         """Hop cost of re-entering the grid at the I/O port and reaching the
@@ -356,41 +355,27 @@ def attach_feedback(g: DataflowGraph, deps: list[LoopCarriedDep],
     next_id = len(g.nodes)
 
     feedback: list[FeedbackAttachment] = []
-    baseline_only: list[tuple] = []
-
     for dep in deps:
         pattern, _mem = classify(g, dep, deps)
-        key = dep.back_edge.key()
         if pattern is LoopPattern.CONSECUTIVE:
-            baseline_only.append(key)
-            continue
-        att = FeedbackAttachment(
-            edge_key=key,
-            producer=dep.producer,
-            consumer=dep.consumer,
-            consumer_slot=dep.consumer_slot,
-            diff=dep.diff,
-            self_loop=dep.producer == dep.consumer,
-        )
-        if not att.self_loop:
+            continue  # spilled: see GridConfig.baseline_only
+        self_loop = dep.producer == dep.consumer
+        eor_node = eor_cell = None
+        extra = 0
+        if not self_loop:
             # produce at the end of the route, re-broadcast to the consumer
             pc, cc = placement[dep.producer], placement[dep.consumer]
             if not free_compute:
                 raise MapError("capacity-exceeded", "no free COMPUTE cell for update node")
-            cell = free_compute.pop(_nearest(free_compute, [pc, cc]))
-            att.eor_node = next_id
+            eor_cell = free_compute.pop(_nearest(free_compute, [pc, cc]))
+            eor_node = next_id
             next_id += 1
-            att.eor_cell = cell
-            att.extra_latency = (manhattan(pc, cell) + manhattan(cell, cc)) * spec.hop_latency
-        feedback.append(att)
+            extra = (manhattan(pc, eor_cell) + manhattan(eor_cell, cc)) * spec.hop_latency
+        feedback.append(FeedbackAttachment(dep.back_edge.key(), dep.producer, dep.consumer,
+                                           dep.consumer_slot, dep.diff, self_loop,
+                                           eor_node, eor_cell, extra))
 
-    return GridConfig(
-        spec=spec,
-        placement=placement,
-        routes=routes,
-        feedback=feedback,
-        baseline_only=baseline_only,
-    )
+    return GridConfig(spec=spec, placement=placement, routes=routes, feedback=feedback)
 
 
 def map_graph(g: DataflowGraph, spec: GridSpec | None = None) -> GridConfig:

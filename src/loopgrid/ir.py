@@ -385,13 +385,12 @@ def validate(g: DataflowGraph) -> list[Violation]:
         if nd.id != i:
             out.append(Violation("non-dense-ids", f"node {nd.id} at position {i}"))
 
+    out += [Violation("dangling-reference", msg) for msg in _dangling(g)]
+
     # (node, slot) -> the edges and the liveins feeding it, indexed once
     edges_in: dict[tuple[int, int], list[Edge]] = {}
     liveins_in: dict[tuple[int, int], list[LiveIn]] = {}
     for e in g.edges:
-        for nid in (e.src, e.dst):
-            if not 0 <= nid < n:
-                out.append(Violation("dangling-reference", f"edge endpoint {nid} missing"))
         if (e.dst, e.slot) in edges_in:
             out.append(Violation("duplicate-slot", f"slot {e.slot} of node {e.dst} bound twice"))
         edges_in.setdefault((e.dst, e.slot), []).append(e)
@@ -449,10 +448,6 @@ def validate(g: DataflowGraph) -> list[Violation]:
             out.append(Violation("multi-dependent-input",
                                  f"node {nid} has {cnt} dependent input slots", "warning"))
 
-    for nid in g.live_out:
-        if not 0 <= nid < n:
-            out.append(Violation("dangling-reference", f"liveout node {nid} missing"))
-
     dsts = {e.dst for e in g.edges}
     srcs = {e.src for e in g.edges}
     for nd in g.nodes:
@@ -463,6 +458,28 @@ def validate(g: DataflowGraph) -> list[Violation]:
 
     out += [Violation("memory-carried", msg) for msg in memory_carried(g)]
     return out
+
+
+def _dangling(g: DataflowGraph):
+    """A message per edge endpoint, live-in node and live-out naming no node."""
+    ids = range(len(g.nodes))
+    for e in g.edges:
+        for nid in (e.src, e.dst):
+            if nid not in ids:
+                yield f"edge endpoint {nid} missing"
+    for lv in g.live_in.values():
+        if lv.node not in ids:
+            yield f"livein '{lv.name}' node {lv.node} missing"
+    for nid in g.live_out:
+        if nid not in ids:
+            yield f"liveout node {nid} missing"
+
+
+def _check_references(g: DataflowGraph) -> None:
+    """Raise the first ``_dangling`` message as ``DfgError("dangling-reference")``:
+    ``parse_dfg`` refuses them all, but a graph built in code can hold one."""
+    for msg in _dangling(g):
+        raise DfgError("dangling-reference", msg)
 
 
 def memory_carried(g: DataflowGraph) -> list[str]:

@@ -20,8 +20,8 @@ fires consume, and a plain live-in one standing token, which no fire
 consumes (a unit decrements only the slots a producer feeds, ``fed``).  No
 unit but a const fires in cycle 1, and a carried token arrives in cycle 3 at
 the earliest (every latency is at least 1), behind the seeds; it serves
-every later thread as the selector does, so ``selector_drops`` is always 0
-and no state holds it.  This is exact: firing and stall decisions read only
+every later thread as the selector does, so ``SimReport.selector_drops``
+is a class constant, 0.  This is exact: firing and stall decisions read only
 whether a slot is empty, and a live-in slot refilled after every fire would
 never be empty while threads remain.  So every slot receives its threads in
 order, a buffer is a count of the unit's next threads, and a unit's next
@@ -103,7 +103,7 @@ from collections import deque
 from . import _Record
 from .analysis import LoopPattern, classify, find_deps
 from .grid import GridConfig, GridSpec, _require_int
-from .ir import OPS, DataflowGraph, DfgError, Node
+from .ir import OPS, DataflowGraph, DfgError, Node, _check_references
 
 
 FAST_FORWARD_MIN_THREADS = 64  # untraced runs this long look for a periodic state
@@ -136,11 +136,13 @@ def unit_latency(nd: Node, spec: GridSpec, params: MachineParams) -> int:
 
 class SimReport(_Record):
     _fields = ("mode", "n_threads", "total_cycles", "fires", "stalls", "dropped_retags",
-               "live_columns", "measured_ii", "selector_drops")
+               "live_columns", "measured_ii")
+    # no state sets it: a dependent slot takes seeds below its diff only
+    selector_drops = 0
 
     def __init__(self, mode: str, n_threads: int, total_cycles: int, fires: dict[int, int],
                  stalls: dict[int, int], dropped_retags: int, live_columns: dict[int, list],
-                 measured_ii: float | None, selector_drops: int = 0):
+                 measured_ii: float | None):
         self.mode = mode
         self.n_threads = n_threads
         self.total_cycles = total_cycles
@@ -149,8 +151,6 @@ class SimReport(_Record):
         self.dropped_retags = dropped_retags
         self.live_columns = live_columns  # live-out node id -> its value per thread id
         self.measured_ii = measured_ii
-        # no state sets it: a dependent slot takes seeds below its diff only
-        self.selector_drops = selector_drops
 
     @property
     def live_out(self) -> list[dict[int, object]]:
@@ -242,19 +242,14 @@ class SimState:
         self.arrivals: dict[int, list] = {}
         self.completions: dict[int, list] = {}
 
+        _check_references(dfg)
         n = params.n_threads
         self.units = [_Unit(i, nd, config.placement[nd.id],
                             unit_latency(nd, config.spec, params), n)
                       for i, nd in enumerate(dfg.nodes)]
         by_id = {u.node.id: u for u in self.units}
-
-        spilled = {e.key() for e in dfg.back_edges()}
-        if params.mode == "dr":
-            for att in config.feedback:
-                by_id[att.producer].carriers.append(
-                    (by_id[att.consumer].index, att.consumer_slot, att.diff,
-                     att.feedback_latency))
-            spilled = set(config.baseline_only)
+        # a back edge's one carrier: in dr its attachment if it has one, else a spill
+        feedback = {f.edge_key: f for f in config.feedback} if params.mode == "dr" else {}
 
         # a slot takes one edge, plus a seeding livein on a back edge's slot;
         # parse_dfg accepts any slot number, but a token for a missing slot has
@@ -267,12 +262,15 @@ class SimState:
             if u.sources[e.slot][0] is not None:
                 raise DfgError("duplicate-slot", f"slot {e.slot} of node {e.dst} bound twice")
             if e.kind == "back":
+                if e.diff is None or e.diff < 1:
+                    raise DfgError("bad-diff", f"back edge {e.src}->{e.dst} diff={e.diff}")
                 u.sources[e.slot] = (src.index, e.diff, None)
-                if e.key() in spilled:
-                    # spill latency plus re-entry hops, and at least one cycle,
-                    # since an arrival must land after the cycle that schedules it
-                    src.carriers.append((u.index, e.slot, e.diff, max(
-                        config.reinjection_latency(e.dst) + params.spill_latency, 1)))
+                att = feedback.get(e.key())
+                # a spill pays its latency plus re-entry hops, and at least one
+                # cycle, since an arrival must land after the cycle that schedules it
+                delay = att.feedback_latency if att else max(
+                    config.reinjection_latency(e.dst) + params.spill_latency, 1)
+                src.carriers.append((u.index, e.slot, e.diff, delay))
             else:
                 u.sources[e.slot] = (src.index, 0, None)
                 src.links.append((u.index, e.slot, config.routes[e.key()].latency))
@@ -297,7 +295,7 @@ class SimState:
         # an unseeded back edge starves its consumer's first threads: on a path
         # to a live-out the run deadlocks, off every such path it is refused
         # here, where the reference raises ExecError("missing-livein")
-        live = {by_id[nid].index for nid in dfg.live_out if nid in by_id}
+        live = {by_id[nid].index for nid in dfg.live_out}
         stack = list(live)
         while stack:
             for f in self.units[stack.pop()].feeders:
@@ -727,8 +725,9 @@ def steady_state_ii(config: GridConfig, dfg: DataflowGraph, params: MachineParam
     d threads share the recurrence) whose pattern is single-path or
     diverging-after.  It is the recurrence bound (Rau's RecMII) over the arcs
     ``SimState`` builds: the dependent path's unit and route latencies plus
-    the back edge's carrier delay, the feedback write in dr or the spill plus
-    re-entry in baseline.  A graph ``simulate`` refuses raises its ``DfgError``.
+    the back edge's carrier delay: the feedback write in dr where the mapping
+    attached one, else the spill plus re-entry.  A graph ``simulate`` refuses
+    raises its ``DfgError``.
     """
     deps = find_deps(dfg, config.spec.latencies)
     if len(deps) != 1:
@@ -745,7 +744,5 @@ def steady_state_ii(config: GridConfig, dfg: DataflowGraph, params: MachineParam
     path = [by_id[nid] for nid in dep.dependent_path]
     lat = sum(u.latency for u in path) + sum(
         next(link for d, _s, link in a.links if d == b.index) for a, b in zip(path, path[1:]))
-    for c, slot, _d, delay in path[-1].carriers:
-        if c == path[0].index and slot == dep.consumer_slot:
-            return lat + delay
-    raise IIOracleError("unsupported-pattern", "dependency has no in-grid feedback")
+    return lat + next(delay for c, slot, _d, delay in path[-1].carriers
+                      if c == path[0].index and slot == dep.consumer_slot)

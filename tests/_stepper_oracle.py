@@ -72,18 +72,16 @@ class SimState:
             self.units[nd.id] = _Unit(nd, config.placement[nd.id],
                                       unit_latency(nd, config.spec, params))
 
-        # per producer: list of (consumer, slot, diff, extra delay)
+        # per producer: list of (consumer, slot, diff, extra delay); each back
+        # edge has one carrier, dr's feedback where the mapping attached one,
+        # else the spill
         self.carriers: dict[int, list[tuple[int, int, int, int]]] = {}
-        spilled = {e.key() for e in dfg.back_edges()}
-        if params.mode == "dr":
-            for att in config.feedback:
-                self.carriers.setdefault(att.producer, []).append(
-                    (att.consumer, att.consumer_slot, att.diff, att.feedback_latency))
-            spilled = set(config.baseline_only)
+        feedback = {f.edge_key: f for f in config.feedback} if params.mode == "dr" else {}
         for e in dfg.back_edges():
-            if e.key() in spilled:
-                delay = config.reinjection_latency(e.dst) + params.spill_latency
-                self.carriers.setdefault(e.src, []).append((e.dst, e.slot, e.diff, delay))
+            att = feedback.get(e.key())
+            delay = (att.feedback_latency if att
+                     else config.reinjection_latency(e.dst) + params.spill_latency)
+            self.carriers.setdefault(e.src, []).append((e.dst, e.slot, e.diff, delay))
 
         self.out_links: dict[int, list[tuple[int, int, int]]] = {nd.id: [] for nd in dfg.nodes}
         for e in dfg.intra_edges():
@@ -270,7 +268,6 @@ class SimState:
             fires={nid: u.fires for nid, u in self.units.items()},
             stalls={nid: u.stalls for nid, u in self.units.items()},
             dropped_retags=self.dropped_retags,
-            selector_drops=0,
             live_columns={nid: [row[nid] for row in live] for nid in self.dfg.live_out},
             measured_ii=ii,
         )

@@ -26,12 +26,12 @@ FROZEN = {
     "LoopCarriedDep": lambda: LoopCarriedDep(BACK, 2, 1, 0, 3, (1, 2)),
     "Route": lambda: Route(((0, 0), (0, 1)), 1),
     "LoopRoute": lambda: LoopRoute((1, 2), 10, 7),
+    "FeedbackAttachment": lambda: FeedbackAttachment(BACK.key(), 2, 1, 0, 3, False),
 }
 MUTABLE = {
     "DataflowGraph": lambda: DataflowGraph([Node(0, "const", 5)], live_out=[0]),
     "GridSpec": lambda: GridSpec(rows=2, cols=3),
-    "FeedbackAttachment": lambda: FeedbackAttachment(BACK.key(), 2, 1, 0, 3, False),
-    "GridConfig": lambda: GridConfig(GridSpec(), {0: (0, 3)}, {}, [], [BACK.key()]),
+    "GridConfig": lambda: GridConfig(GridSpec(), {0: (0, 3)}, {}, []),
     "MachineParams": lambda: MachineParams(mode="baseline", n_threads=64),
     "SimReport": lambda: SimReport("dr", 2, 9, {0: 2}, {0: 0}, 0, {0: [5, 5]}, math.nan),
     "RoutineGraph": lambda: RoutineGraph("f", edge_counts={(1, 2): 3}),

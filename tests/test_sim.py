@@ -5,6 +5,7 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from loopgrid.analysis import describe_deps, find_deps
 from loopgrid.grid import GridConfig, GridSpec, MapError, default_grid, map_graph
 from loopgrid.ir import (DfgError, ExecError, LiveIn, load_dfg, parse_dfg, reference_execute,
                          validate)
@@ -12,12 +13,14 @@ from loopgrid.sim import (
     DeadlockError,
     IIOracleError,
     MachineParams,
+    SimState,
     simulate,
     steady_state_ii,
 )
 
 from _random_graphs import random_dfg
 from _stepper_oracle import Token, ildr_retag
+from conftest import FIXTURES, fixture_path
 
 
 def run(fixtures, name, mode, n, **kw):
@@ -341,6 +344,41 @@ def test_empty_livein_refused_with_typed_error(text):
         assert exc.value.code == "livein-length", mode
 
 
+def _edit_edge(g, kind, **fields):
+    # the graph below has one edge of each kind into a slot 1
+    g.edges = [e._replace(**fields) if e.kind == kind and e.slot == 1 else e for e in g.edges]
+
+
+# parse_dfg refuses each of these; a graph built in code reaches the mapper
+# and the simulator, which refuse it with the code validate reports
+MALFORMED = {
+    "intra-src": ("dangling-reference", lambda g: _edit_edge(g, "intra", src=7)),
+    "back-src": ("dangling-reference", lambda g: _edit_edge(g, "back", src=9)),
+    "liveout": ("dangling-reference", lambda g: setattr(g, "live_out", [9])),
+    "livein-node": ("dangling-reference",
+                    lambda g: g.live_in.update(s=g.live_in["s"]._replace(node=8))),
+    "diff-0": ("bad-diff", lambda g: _edit_edge(g, "back", diff=0)),
+    "diff-none": ("bad-diff", lambda g: _edit_edge(g, "back", diff=None)),
+}
+
+
+@pytest.mark.parametrize("code, breaks", MALFORMED.values(), ids=MALFORMED)
+def test_malformed_graph_built_in_code_is_refused_with_its_code(code, breaks):
+    g = parse_dfg("node 0 const 1\nnode 1 add\nnode 2 add\nedge 0 1 0\nback 1 1 1 1\n"
+                  "livein s 1 1 0\nedge 1 2 0\nedge 0 2 1\nliveout 2")
+    cfg = map_graph(g)
+    breaks(g)
+    assert code in {v.code for v in validate(g)}
+    calls = [lambda mode=mode: simulate(cfg, g, MachineParams(mode=mode, n_threads=4))
+             for mode in ("dr", "baseline")]
+    if code == "dangling-reference":
+        calls += [lambda: find_deps(g), lambda: describe_deps(g), lambda: map_graph(g)]
+    for call in calls:
+        with pytest.raises(DfgError) as exc:
+            call()
+        assert exc.value.code == code
+
+
 def test_empty_graph_matches_reference():
     g = parse_dfg("")
     rep = simulate(map_graph(g), g, MachineParams(mode="dr", n_threads=3))
@@ -386,17 +424,45 @@ def test_ii_oracle_refuses_what_simulate_refuses():
     assert str(exc.value) == str(sim_exc.value)
 
 
-def test_ii_oracle_refuses_a_back_edge_with_no_carrier(fixtures):
-    # a config with neither a feedback attachment nor a spill leaves the dr
-    # run no carrier for the back edge; baseline spills every back edge
+def test_a_back_edge_with_no_attachment_spills_in_dr(fixtures):
+    # every back edge has one carrier: with no feedback attachment the dr run
+    # spills it, as baseline does, and the oracle reads that spill
     g = load_dfg(str(fixtures / "scenario1.dfg"))
     mapped = map_graph(g)
-    cfg = GridConfig(mapped.spec, mapped.placement, mapped.routes, [], [])
-    with pytest.raises(IIOracleError) as exc:
-        steady_state_ii(cfg, g, MachineParams(mode="dr", n_threads=64))
-    assert str(exc.value) == "unsupported-pattern: dependency has no in-grid feedback"
-    p = MachineParams(mode="baseline", n_threads=64)
-    assert steady_state_ii(cfg, g, p) == steady_state_ii(mapped, g, p) == 13
+    cfg = GridConfig(mapped.spec, mapped.placement, mapped.routes, [])
+    assert cfg.baseline_only == [e.key() for e in g.back_edges()]
+    dr = simulate(cfg, g, MachineParams(mode="dr", n_threads=64)).to_json()
+    base = simulate(mapped, g, MachineParams(mode="baseline", n_threads=64)).to_json()
+    assert {**dr, "mode": "baseline"} == base
+    for mode in ("dr", "baseline"):
+        assert steady_state_ii(cfg, g, MachineParams(mode=mode, n_threads=64)) == 13
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(p.name for p in FIXTURES.glob("*.dfg")))
+       | st.integers(min_value=0, max_value=10_000),
+       st.sampled_from(["baseline", "dr"]), st.integers(min_value=0, max_value=2),
+       st.integers(min_value=0, max_value=13))
+def test_every_back_edge_has_one_carrier(graph, mode, hop, spill):
+    # dr feeds back exactly the mapping's attachments; every other back edge
+    # spills, in either mode
+    g = load_dfg(fixture_path(graph)) if isinstance(graph, str) else random_dfg(graph)
+    try:
+        cfg = map_graph(g, GridSpec(unit_map=default_grid().unit_map, hop_latency=hop))
+    except MapError:
+        return
+    units = SimState(cfg, g, MachineParams(mode=mode, n_threads=8, spill_latency=spill)).units
+    index = {u.node.id: u.index for u in units}
+    fed = cfg.feedback if mode == "dr" else []
+    want = [(f.producer, index[f.consumer], f.consumer_slot, f.diff, f.feedback_latency)
+            for f in fed]
+    want += [(e.src, index[e.dst], e.slot, e.diff,
+              max(cfg.reinjection_latency(e.dst) + spill, 1))
+             for e in g.back_edges() if e.key() not in {f.edge_key for f in fed}]
+    carriers = sorted((u.node.id, *c) for u in units for c in u.carriers)
+    assert carriers == sorted(want)
+    assert [c[:4] for c in carriers] == sorted(
+        (e.src, index[e.dst], e.slot, e.diff) for e in g.back_edges())
 
 
 def test_ii_oracle_matches_measurement_where_supported(fixtures):

@@ -9,6 +9,7 @@ import importlib.util
 import pathlib
 import re
 import sys
+from collections import Counter
 
 import pytest
 
@@ -105,7 +106,7 @@ def test_perfbench_hooks_resolve(monkeypatch):
     assert missing == []
     # steady_state_ii calls find_deps and classify by sim's own names, so a
     # pass that replaces them there sees its calls
-    from loopgrid import grid, ir, sim
+    from loopgrid import analysis, grid, ir, sim, traceflow
     calls = []
 
     def spy(name):
@@ -121,3 +122,26 @@ def test_perfbench_hooks_resolve(monkeypatch):
     g = ir.load_dfg(str(ROOT / "fixtures" / "scenario1.dfg"))
     sim.steady_state_ii(grid.map_graph(g), g, sim.MachineParams(mode="dr", n_threads=8))
     assert sorted(set(calls)) == ["classify", "find_deps"]
+    # each counter reads attributes off its span's result (a property such as
+    # GridConfig.baseline_only among them); scenario5's deps are consecutive,
+    # so all three spill
+    g = ir.parse_dfg((ROOT / "fixtures" / "scenario5.dfg").read_text())
+    cfg = grid.map_graph(g)
+    results = {
+        "ir.parse": g,
+        "analysis.find_deps": analysis.find_deps(g),
+        "grid.attach_feedback": cfg,
+        "sim.simulate": sim.simulate(cfg, g, sim.MachineParams(mode="dr", n_threads=8)),
+        "traceflow.prevalence_report": traceflow.prevalence_report(
+            traceflow.ingest_file(str(ROOT / "fixtures" / "traces" / "coverage90.trc"))),
+    }
+    counts = Counter()
+    for span, count in tracing._COUNTERS.items():
+        count(counts, results[span])
+    assert counts == {
+        "ir.nodes": 6, "ir.edges": 8, "analysis.deps": 3, "analysis.path_nodes": 9,
+        "grid.feedback_in_grid": 0, "grid.feedback_spilled": 3,
+        "sim.cycles.dr": 143, "sim.calls.dr": 1, "sim.fires": 48, "sim.stalls": 400,
+        "sim.dropped_retags": 4, "sim.selector_drops": 0,
+        "traceflow.routes": 15, "traceflow.truncated_routines": 0,
+    }
