@@ -110,14 +110,8 @@ class GridSpec(_Record):
                 unit_map[(int(r), int(c))] = k
             except ValueError:
                 raise ValueError(f"unit_map key {key!r} is not '<row>,<col>'") from None
-        return cls(
-            rows=doc.get("rows", 8),
-            cols=doc.get("cols", 8),
-            unit_map=unit_map,
-            latencies={**DEFAULT_LATENCIES, **latencies},
-            hop_latency=doc.get("hop_latency", 1),
-            token_buffer_depth=doc.get("token_buffer_depth", 16),
-        )
+        return cls(**{**doc, "unit_map": unit_map,
+                      "latencies": {**DEFAULT_LATENCIES, **latencies}})
 
 
 def _require_int(name: str, value, low: int) -> None:

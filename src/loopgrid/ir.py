@@ -381,10 +381,7 @@ def validate(g: DataflowGraph) -> list[Violation]:
     out: list[Violation] = []
     n = len(g.nodes)
 
-    for i, nd in enumerate(g.nodes):
-        if nd.id != i:
-            out.append(Violation("non-dense-ids", f"node {nd.id} at position {i}"))
-
+    out += [Violation("non-dense-ids", msg) for msg in _non_dense(g)]
     out += [Violation("dangling-reference", msg) for msg in _dangling(g)]
 
     # (node, slot) -> the edges and the liveins feeding it, indexed once
@@ -396,11 +393,11 @@ def validate(g: DataflowGraph) -> list[Violation]:
         edges_in.setdefault((e.dst, e.slot), []).append(e)
         if e.kind == "back" and (e.diff is None or e.diff < 1):
             out.append(Violation("bad-diff", f"back edge {e.src}->{e.dst} diff={e.diff}"))
-        if 0 <= e.dst < n and not 0 <= e.slot < g.node(e.dst).n_inputs:
+        if e.dst in range(n) and e.slot not in range(g.node(e.dst).n_inputs):
             out.append(Violation("arity-mismatch",
                                  f"node {e.dst} ({g.node(e.dst).kind}) has no slot {e.slot}"))
     for lv in g.live_in.values():
-        if 0 <= lv.node < n and not 0 <= lv.slot < g.node(lv.node).n_inputs:
+        if lv.node in range(n) and lv.slot not in range(g.node(lv.node).n_inputs):
             out.append(Violation("arity-mismatch", f"livein '{lv.name}': node {lv.node} "
                                  f"({g.node(lv.node).kind}) has no slot {lv.slot}"))
         if not lv.values:
@@ -460,6 +457,13 @@ def validate(g: DataflowGraph) -> list[Violation]:
     return out
 
 
+def _non_dense(g: DataflowGraph):
+    """A message per node whose id is not its position."""
+    for i, nd in enumerate(g.nodes):
+        if nd.id != i:
+            yield f"node {nd.id} at position {i}"
+
+
 def _dangling(g: DataflowGraph):
     """A message per edge endpoint, live-in node and live-out naming no node."""
     ids = range(len(g.nodes))
@@ -476,8 +480,11 @@ def _dangling(g: DataflowGraph):
 
 
 def _check_references(g: DataflowGraph) -> None:
-    """Raise the first ``_dangling`` message as ``DfgError("dangling-reference")``:
+    """Raise the first ``_non_dense`` message as ``DfgError("non-dense-ids")``,
+    else the first ``_dangling`` one as ``DfgError("dangling-reference")``:
     ``parse_dfg`` refuses them all, but a graph built in code can hold one."""
+    for msg in _non_dense(g):
+        raise DfgError("non-dense-ids", msg)
     for msg in _dangling(g):
         raise DfgError("dangling-reference", msg)
 

@@ -25,7 +25,11 @@ is a class constant, 0.  This is exact: firing and stall decisions read only
 whether a slot is empty, and a live-in slot refilled after every fire would
 never be empty while threads remain.  So every slot receives its threads in
 order, a buffer is a count of the unit's next threads, and a unit's next
-thread is its fire count; at thread n a unit neither fires nor stalls.
+thread is its fire count; at thread n a unit neither fires nor stalls.  It
+emits in thread order too, so its held results are a count, and as each slot
+has one producer, a link's tokens (buffered or in flight) number the
+producer's emit count less the consumer's fire count: back-pressure lets the
+producer emit while that is below ``token_buffer_depth`` on every link.
 
 Values do not travel with the tokens.  Each unit has one result row indexed
 by thread id, written once, when it fires thread t (a const's row is filled
@@ -36,12 +40,12 @@ row as that node's column, uncopied; its per-thread ``live_out`` dicts are
 built only when read.
 
 Each cycle runs four phases in order: arrivals enter buffers (the live-ins'
-in cycle 2), completions queue results and schedule carried copies, units
+in cycle 2), completions hold results and schedule carried copies, units
 emit held results (node order), units fire (node order).  A token routed
 with zero latency lands during emission and can fire the same cycle.  Node
-order matters in two places: an emission can fill the slot a later unit's
-emission needed, and under ``mem_max_outstanding`` a load that fires takes a
-slot a higher-numbered load in the same cycle then lacks.
+order decides only the order of trace lines and, under
+``mem_max_outstanding``, which load takes the last slot: no emission takes
+room another needs, since each slot has one producer.
 
 The kernel is event-driven but reproduces the cycle-by-cycle outcome
 exactly.  A unit's firing outcome depends only on its buffers, its held
@@ -70,23 +74,23 @@ stack for at most ``FAST_FORWARD_MAX_STEPS`` steps after its start or its
 last skip, sampling only the steps at which a live-out value completed.  The
 signature counts every thread id from a fire count: the ids a unit completes
 from its own, the ids in an arrival from the receiving unit's.  It holds the
-load count, the buffer counts, the length of each held result queue (a run
-of consecutive ids), which units are mid-stall, event times relative to the
-cycle and the units to visit next.  A repeat after P cycles moves each unit
-by k, its own fire-count change.  Every token in flight repeats, so a
-producer moves as its consumer does, while units that share no edge (loads
-under the memory cap among them) each keep their own k.  The kernel then
-skips m whole periods, m as large as keeps each moving unit's next thread,
-plus its largest retag diff, below n (so no retag is dropped in a skipped
-period, and no unit reaches thread n, where it would stop stalling): fires,
-stalls, the cycle and the live-out count grow by m times the period's
-change, and the primary unit's issue cycles are kept as one run (position,
-the period's cycles, P, m).  This is exact because timing never reads a
-value.  The values come from replaying the period's operator fires, shifted,
-in fire order into the same rows through each unit's ``ir.OPS`` op and the
-same memory, so stores, loads and the first ExecError are those of a full
-run.  The replay reads every operand as ``row[t - diff]``, so no period is
-skipped before each unit that moves has fired past its back slots' diffs.
+load count, the buffer counts, the held-result counts, which units are
+mid-stall, event times relative to the cycle and the units to visit next.
+A repeat after P cycles moves each unit by k, its own fire-count change.
+Every token in flight repeats, so a producer moves as its consumer does,
+while units that share no edge (loads under the memory cap among them) each
+keep their own k.  The kernel then skips m whole periods, m as large as
+keeps each moving unit's next thread, plus its largest retag diff, below n
+(so no retag is dropped in a skipped period, and no unit reaches thread n,
+where it would stop stalling): fires, stalls, the cycle and the live-out
+count grow by m times the period's change, and the primary unit's issue
+cycles are kept as one run (position, the period's cycles, P, m).  This is
+exact because timing never reads a value.  The values come from replaying
+the period's operator fires, shifted, in fire order into the same rows
+through each unit's ``ir.OPS`` op and the same memory, so stores, loads and
+the first ExecError are those of a full run.  The replay reads every
+operand as ``row[t - diff]``, so no period is skipped before each unit that
+moves has fired past its back slots' diffs.
 It runs in blocks of 64 periods; after each, a slice clears the ids below
 every consumer's next read (never on a live-out's row).  Detection then
 starts over, since a unit that stopped (a const done issuing) can leave the
@@ -97,8 +101,6 @@ state.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 from . import _Record
 from .analysis import LoopPattern, classify, find_deps
@@ -197,8 +199,8 @@ class SimInvariantError(AssertionError):
 
 class _Unit:
     __slots__ = ("index", "node", "cell", "latency", "arity", "op", "is_const", "is_load",
-                 "emits", "row", "buffers", "reserved", "out_queue", "links", "feeders",
-                 "carriers", "sources", "fed", "ins", "liveout", "fires", "stalls", "since")
+                 "emits", "row", "buffers", "held", "emitted", "links", "feeders", "carriers",
+                 "sources", "fed", "ins", "liveout", "fires", "stalls", "since")
 
     def __init__(self, index, node, cell, latency, n):
         self.index = index  # position in node order, which is firing order
@@ -212,8 +214,8 @@ class _Unit:
         self.emits = node.kind != "sink"
         self.row = [node.value if self.is_const else None] * n  # thread id -> result
         self.buffers = [0] * self.arity  # tokens per slot: threads fires, fires + 1, ...
-        self.reserved = [0] * self.arity
-        self.out_queue = deque()
+        self.held = 0  # completed results not yet emitted: threads emitted, emitted + 1, ...
+        self.emitted = 0  # the next thread to emit, and the tokens sent on each link
         # other units appear by index only: no reference cycles, so a finished
         # simulation is freed at once instead of waiting for the cyclic GC
         self.links = []  # (destination, slot, route latency)
@@ -256,7 +258,7 @@ class SimState:
         # no buffer
         for e in dfg.edges:
             src, u = by_id[e.src], by_id[e.dst]
-            if not 0 <= e.slot < u.arity:
+            if e.slot not in range(u.arity):
                 raise DfgError("arity-mismatch", f"{e.kind} edge {e.src}->{e.dst}: node "
                                f"{e.dst} ({u.node.kind}) has no slot {e.slot}")
             if u.sources[e.slot][0] is not None:
@@ -281,7 +283,7 @@ class SimState:
         # diff, or a plain slot's one standing token
         for lv in dfg.live_in.values():
             u = by_id[lv.node]
-            if not 0 <= lv.slot < u.arity:
+            if lv.slot not in range(u.arity):
                 raise DfgError("arity-mismatch", f"livein '{lv.name}': node {lv.node} "
                                f"({u.node.kind}) has no slot {lv.slot}")
             p, d, seed = u.sources[lv.slot]
@@ -291,7 +293,7 @@ class SimState:
                 raise DfgError("livein-length", f"livein '{lv.name}' has no values")
             u.sources[lv.slot] = (p, d, lv)
             self.arrivals.setdefault(2, []).extend(
-                (u.index, lv.slot, t, False) for t in range(min(d, n) if d else 1))
+                (u.index, lv.slot, t) for t in range(min(d, n) if d else 1))
         # an unseeded back edge starves its consumer's first threads: on a path
         # to a live-out the run deadlocks, off every such path it is refused
         # here, where the reference raises ExecError("missing-livein")
@@ -404,11 +406,8 @@ class SimState:
         arrived = arrivals.pop(c, None)
         if arrived:
             progress = True
-            for i, slot, tid, routed in arrived:
-                u = units[i]
-                if routed:
-                    u.reserved[slot] -= 1
-                self._put(u, slot, tid)
+            for i, slot, tid in arrived:
+                self._put(units[i], slot, tid)
                 wake.add(i)
 
         # 2. completions: results become emittable; loop-carried copies are
@@ -426,8 +425,8 @@ class SimState:
                 if u.liveout:
                     self._missing -= 1  # a unit completes each thread once
                 if u.emits:
-                    u.out_queue.append(tid)
-                    if len(u.out_queue) == 1:
+                    u.held += 1
+                    if u.held == 1:
                         emit.add(u.index)
                 for consumer, slot, diff, delay in u.carriers:
                     if tid + diff >= n:
@@ -437,26 +436,26 @@ class SimState:
                     else:
                         if trace is not None:
                             self._emit_trace(c, "retag", u, tid + diff, u.row[tid])
-                        arrivals.setdefault(c + delay, []).append(
-                            (consumer, slot, tid + diff, False))
+                        arrivals.setdefault(c + delay, []).append((consumer, slot, tid + diff))
 
-        # 3. emission, in node order: one held result per unit per cycle, all
-        #    fan-out destinations must have room (back-pressure).  Room only
-        #    grows when a destination fires, so a blocked unit leaves the
-        #    emitter set until then.
+        # 3. emission: one held result per unit per cycle while every link
+        #    holds fewer than depth tokens (back-pressure); a slot has one
+        #    producer, so sorting only fixes the arrival lists' order.  Room
+        #    grows only when a destination fires: a blocked unit waits for it.
         if emit:
             for i in sorted(emit):
                 u = units[i]
                 links = u.links
-                for d, s, _lat in links:
-                    dst = units[d]
-                    if dst.buffers[s] + dst.reserved[s] >= depth:
+                tid = u.emitted
+                for d, _s, _lat in links:
+                    if tid - units[d].fires >= depth:
                         emit.discard(i)
                         break
                 else:
                     progress = True
-                    tid = u.out_queue.popleft()
-                    if not u.out_queue:
+                    u.emitted += 1
+                    u.held -= 1
+                    if not u.held:
                         emit.discard(i)
                         wake.add(i)  # no longer held back by a pending result
                     for d, s, lat in links:
@@ -464,8 +463,7 @@ class SimState:
                             self._put(units[d], s, tid)
                             wake.add(d)
                         else:
-                            units[d].reserved[s] += 1
-                            arrivals.setdefault(c + lat, []).append((d, s, tid, True))
+                            arrivals.setdefault(c + lat, []).append((d, s, tid))
 
         # 4. firing, in node order, of the woken units; every other unit would
         #    repeat its last outcome.  A unit fires thread ``fires``, the next
@@ -480,13 +478,13 @@ class SimState:
             if tid >= n:
                 continue
             if u.is_const:
-                if u.out_queue:
+                if u.held:
                     continue
             else:
                 bufs = u.buffers
                 if not any(bufs):
                     continue
-                if u.out_queue or not all(bufs) or (
+                if u.held or not all(bufs) or (
                         u.is_load and mem_cap is not None and self.mem_outstanding >= mem_cap):
                     if u.since is None:
                         u.since = c
@@ -514,7 +512,7 @@ class SimState:
             completions.setdefault(c + u.latency, []).append((u, tid))
             # the freed slots let held feeders emit
             for f in u.feeders:
-                if units[f].out_queue:
+                if units[f].held:
                     emit.add(f)
 
         if not (progress or arrivals or completions or self.done()):
@@ -534,17 +532,17 @@ class SimState:
     def _signature(self):
         """The state as far as timing reads it, as flat lists whose positions
         hold one type in every state of a run, so any two compare: the load
-        count, buffer counts, out-queue lengths and mid-stall flags; pending
+        count, buffer counts, held-result counts and mid-stall flags; pending
         arrivals and completions, times counted from the cycle and thread ids
         from a fire count (the receiving unit's, or the completing unit's own);
-        the units to visit.  Reserved room is the count of routed arrivals."""
+        the units to visit; emit counts follow from these and the fire counts."""
         c = self.cycle
         units = self.units
         head = [self.mem_outstanding, *[b for u in units for b in u.buffers],
-                *[len(u.out_queue) for u in units], *[u.since is None for u in units]]
+                *[u.held for u in units], *[u.since is None for u in units]]
         return [head,
-                [(a - c, i, s, t - units[i].fires, r)
-                 for a, es in sorted(self.arrivals.items()) for i, s, t, r in es],
+                [(a - c, i, s, t - units[i].fires)
+                 for a, es in sorted(self.arrivals.items()) for i, s, t in es],
                 [(a - c, u.index, t - u.fires)
                  for a, es in sorted(self.completions.items()) for u, t in es],
                 sorted(self._wake), sorted(self._emit)]
@@ -658,9 +656,8 @@ class SimState:
             u.stalls += m * (self._stall_total(u) - stalls0[i])
             if u.since is not None:
                 u.since += D
-            if K[i]:
-                u.out_queue = deque(t + K[i] for t in u.out_queue)
-        self.arrivals = {a + D: [(i, slot, t + K[i], r) for i, slot, t, r in es]
+            u.emitted += K[i]
+        self.arrivals = {a + D: [(i, slot, t + K[i]) for i, slot, t in es]
                          for a, es in self.arrivals.items()}
         self.completions = {a + D: [(u, t + K[u.index]) for u, t in es]
                             for a, es in self.completions.items()}

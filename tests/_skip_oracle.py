@@ -6,9 +6,9 @@ never skips (its fire log is ``None``), to the skipped state's cycle and
 compares the two: the cycle, the live-out values still missing, memory, the
 load count, dropped retags, the pending arrivals and completions, the units
 to visit and the emitters, the primary unit's issue cycles, and per unit the
-fire count, stall total, buffers, held results, ``since`` and its row.  A
-skip may clear the row ids that no consumer reads any more (never on a
-live-out's row); every other id must hold the stepped value.
+fire count, stall total, buffers, emit count, held results, ``since`` and
+its row.  A skip may clear the row ids that no consumer reads any more
+(never on a live-out's row); every other id must hold the stepped value.
 
 The copy steps the same kernel, so this checks the skip against stepping;
 ``tests/_stepper_oracle.py`` checks the kernel itself.
@@ -67,8 +67,8 @@ def differences(stepped, skipped) -> list[str]:
         check(f"stalls {nid}", stepped._stall_total(a), skipped._stall_total(b))
         check(f"since {nid}", a.since, b.since)
         check(f"buffers {nid}", a.buffers, b.buffers)
-        check(f"reserved {nid}", a.reserved, b.reserved)
-        check(f"out_queue {nid}", list(a.out_queue), list(b.out_queue))
+        check(f"emitted {nid}", a.emitted, b.emitted)
+        check(f"held {nid}", a.held, b.held)
         # the lowest id a consumer still reads; the skip clears none at or above it
         low = b.fires
         for u in skipped.units:

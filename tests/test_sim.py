@@ -7,8 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from loopgrid.analysis import describe_deps, find_deps
 from loopgrid.grid import GridConfig, GridSpec, MapError, default_grid, map_graph
-from loopgrid.ir import (DfgError, ExecError, LiveIn, load_dfg, parse_dfg, reference_execute,
-                         validate)
+from loopgrid.ir import (DfgError, ExecError, LiveIn, Node, load_dfg, parse_dfg,
+                         reference_execute, validate)
 from loopgrid.sim import (
     DeadlockError,
     IIOracleError,
@@ -359,6 +359,14 @@ MALFORMED = {
                     lambda g: g.live_in.update(s=g.live_in["s"]._replace(node=8))),
     "diff-0": ("bad-diff", lambda g: _edit_edge(g, "back", diff=0)),
     "diff-none": ("bad-diff", lambda g: _edit_edge(g, "back", diff=None)),
+    "non-dense": ("non-dense-ids",
+                  lambda g: setattr(g, "nodes", [*g.nodes[:2], Node(5, "add")])),
+    "intra-slot-none": ("arity-mismatch", lambda g: _edit_edge(g, "intra", slot=None)),
+    "back-slot-none": ("arity-mismatch", lambda g: _edit_edge(g, "back", slot=None)),
+    "livein-slot-none": ("arity-mismatch",
+                         lambda g: g.live_in.update(s=g.live_in["s"]._replace(slot=None))),
+    "livein-node-none": ("dangling-reference",
+                         lambda g: g.live_in.update(s=g.live_in["s"]._replace(node=None))),
 }
 
 
@@ -371,7 +379,7 @@ def test_malformed_graph_built_in_code_is_refused_with_its_code(code, breaks):
     assert code in {v.code for v in validate(g)}
     calls = [lambda mode=mode: simulate(cfg, g, MachineParams(mode=mode, n_threads=4))
              for mode in ("dr", "baseline")]
-    if code == "dangling-reference":
+    if code in ("dangling-reference", "non-dense-ids"):
         calls += [lambda: find_deps(g), lambda: describe_deps(g), lambda: map_graph(g)]
     for call in calls:
         with pytest.raises(DfgError) as exc:

@@ -211,11 +211,13 @@ def test_carried_tokens_wait_for_the_seeds(name, mode):
 
 @pytest.mark.parametrize("max_diff", [3, 12])
 def test_buffers_hold_the_next_threads_in_order(monkeypatch, max_diff):
-    # a buffer is a count and an out-queue holds ids only: that needs the
-    # tokens still to enter each token-fed slot (arrivals in arrival order) to
-    # continue its buffer's run of ids, seeds included, a plain live-in's slot
-    # to hold its one standing token, and the ids fired but not yet emitted to
-    # run up to the fire count
+    # a buffer and the held results are counts: that needs the tokens still
+    # to enter each token-fed slot (arrivals in arrival order) to continue its
+    # buffer's run of ids, seeds included, a plain live-in's slot to hold its
+    # one standing token, and the ids fired but not yet emitted to run from
+    # the emit count up to the fire count.  Back-pressure reads no per-slot
+    # count: a link's buffered and arriving tokens number the producer's emit
+    # count less the consumer's fire count
     skips = 0
     skip = sim.SimState._skip
 
@@ -240,7 +242,7 @@ def test_buffers_hold_the_next_threads_in_order(monkeypatch, max_diff):
                     pending.setdefault(u.index, []).append(t)
             coming = {}  # (unit index, slot) -> arriving ids, in arrival order
             for _, es in sorted(state.arrivals.items()):
-                for i, s, t, _ in es:
+                for i, s, t in es:
                     coming.setdefault((i, s), []).append(t)
             for u in state.units:
                 for s, count in enumerate(u.buffers):
@@ -250,9 +252,14 @@ def test_buffers_hold_the_next_threads_in_order(monkeypatch, max_diff):
                     later = coming.get((u.index, s), [])
                     start = u.fires + count
                     assert later == list(range(start, start + len(later))), seed
-                unemitted = list(u.out_queue) + sorted(pending.get(u.index, ()))
+                unemitted = (list(range(u.emitted, u.emitted + u.held))
+                             + sorted(pending.get(u.index, ())))
                 if u.emits:
                     assert unemitted == list(range(u.fires - len(unemitted), u.fires)), seed
+                for d, s, _ in u.links:
+                    dst = state.units[d]
+                    sent = dst.buffers[s] + len(coming.get((d, s), []))
+                    assert sent == u.emitted - dst.fires, seed
     assert skips
 
 
