@@ -126,17 +126,6 @@ class DataflowGraph(_Record):
     def back_edges(self) -> list[Edge]:
         return [e for e in self.edges if e.kind == "back"]
 
-    def slot_feeders(self, nid: int) -> dict[int, object]:
-        """Map input slot -> the Edge or LiveIn feeding it (edges win ties)."""
-        feeders: dict[int, object] = {}
-        for lv in self.live_in.values():
-            if lv.node == nid:
-                feeders[lv.slot] = lv
-        for e in self.edges:
-            if e.dst == nid:
-                feeders[e.slot] = e
-        return feeders
-
 
 class Violation(NamedTuple):
     code: str
@@ -489,6 +478,41 @@ def _check_references(g: DataflowGraph) -> None:
         raise DfgError("dangling-reference", msg)
 
 
+def _check_bindings(g: DataflowGraph):
+    """Refuse what neither ``simulate`` nor ``reference_execute`` can run,
+    after ``_check_references``: in edge order a missing slot
+    (``arity-mismatch``), a slot bound twice (``duplicate-slot``) or a back
+    edge's diff below 1 (``bad-diff``), then in live-in order a missing
+    slot, a slot an intra edge or another live-in feeds, or no values
+    (``livein-length``).  Returns the edge and the live-in of each bound
+    ``(node, slot)``, as two dicts."""
+    _check_references(g)
+    edges: dict[tuple[int, int], Edge] = {}
+    for e in g.edges:
+        nd = g.nodes[e.dst]
+        if e.slot not in range(nd.n_inputs):
+            raise DfgError("arity-mismatch", f"{e.kind} edge {e.src}->{e.dst}: node "
+                           f"{e.dst} ({nd.kind}) has no slot {e.slot}")
+        if (e.dst, e.slot) in edges:
+            raise DfgError("duplicate-slot", f"slot {e.slot} of node {e.dst} bound twice")
+        if e.kind == "back" and (e.diff is None or e.diff < 1):
+            raise DfgError("bad-diff", f"back edge {e.src}->{e.dst} diff={e.diff}")
+        edges[(e.dst, e.slot)] = e
+    liveins: dict[tuple[int, int], LiveIn] = {}
+    for lv in g.live_in.values():
+        nd = g.nodes[lv.node]
+        if lv.slot not in range(nd.n_inputs):
+            raise DfgError("arity-mismatch", f"livein '{lv.name}': node {lv.node} "
+                           f"({nd.kind}) has no slot {lv.slot}")
+        e = edges.get((lv.node, lv.slot))
+        if (lv.node, lv.slot) in liveins or (e is not None and e.kind == "intra"):
+            raise DfgError("duplicate-slot", f"slot {lv.slot} of node {lv.node} bound twice")
+        if not lv.values:
+            raise DfgError("livein-length", f"livein '{lv.name}' has no values")
+        liveins[(lv.node, lv.slot)] = lv
+    return edges, liveins
+
+
 def memory_carried(g: DataflowGraph) -> list[str]:
     """One message per load and store whose addresses can be equal.
 
@@ -624,11 +648,16 @@ def reference_execute(g: DataflowGraph, n_threads: int) -> list[dict[int, object
 
     Returns, per thread, a map live-out node id -> produced value.  Latencies
     never matter here: the result is a pure function of the input values.
+    A graph ``simulate`` refuses in ``_check_bindings`` is refused here with
+    the same ``DfgError``.
     """
+    edges, liveins = _check_bindings(g)
     order = topo_order(g)
     if order is None:
         raise ExecError("intra-cycle", "graph is not executable")
-    feeders = {nd.id: g.slot_feeders(nd.id) for nd in g.nodes}
+    # node id -> (edge, live-in) per input slot, either of them None
+    inputs = {nd.id: [(edges.get((nd.id, s)), liveins.get((nd.id, s)))
+                      for s in range(nd.n_inputs)] for nd in g.nodes}
     memory = dict(g.memory_image)
     history: list[dict[int, object]] = []  # per thread: node id -> value
     results: list[dict[int, object]] = []
@@ -641,25 +670,20 @@ def reference_execute(g: DataflowGraph, n_threads: int) -> list[dict[int, object
                 vals[nid] = nd.value
                 continue
             ins = []
-            for slot in range(nd.n_inputs):
-                feeder = feeders[nid].get(slot)
-                if feeder is None:
+            for slot, (e, lv) in enumerate(inputs[nid]):
+                if e is None and lv is None:
                     raise ExecError("unfed-slot", f"slot {slot} of node {nid} has no input")
-                if isinstance(feeder, Edge) and feeder.kind == "intra":
-                    ins.append(vals[feeder.src])
-                elif isinstance(feeder, Edge):  # back edge
-                    if t >= feeder.diff:
-                        ins.append(history[t - feeder.diff][feeder.src])
-                    else:
-                        lv = next((l for l in g.live_in.values()
-                                   if l.node == nid and l.slot == slot), None)
-                        if lv is None:
-                            raise ExecError("missing-livein",
-                                            f"thread {t} needs an initial value for "
-                                            f"slot {slot} of node {nid}")
-                        ins.append(lv.value_for(t))
-                else:  # live-in
-                    ins.append(feeder.value_for(t))
+                if e is None:
+                    ins.append(lv.value_for(t))
+                elif e.kind == "intra":
+                    ins.append(vals[e.src])
+                elif t >= e.diff:
+                    ins.append(history[t - e.diff][e.src])
+                elif lv is None:
+                    raise ExecError("missing-livein", f"thread {t} needs an initial value "
+                                    f"for slot {slot} of node {nid}")
+                else:
+                    ins.append(lv.value_for(t))
             a = ins[0] if ins else None
             b = ins[1] if len(ins) > 1 else None
             vals[nid] = OPS[nd.kind](a, b, memory)

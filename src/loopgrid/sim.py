@@ -105,7 +105,7 @@ from __future__ import annotations
 from . import _Record
 from .analysis import LoopPattern, classify, find_deps
 from .grid import GridConfig, GridSpec, _require_int
-from .ir import OPS, DataflowGraph, DfgError, Node, _check_references
+from .ir import OPS, DataflowGraph, DfgError, Node, _check_bindings
 
 
 FAST_FORWARD_MIN_THREADS = 64  # untraced runs this long look for a periodic state
@@ -244,7 +244,7 @@ class SimState:
         self.arrivals: dict[int, list] = {}
         self.completions: dict[int, list] = {}
 
-        _check_references(dfg)
+        _check_bindings(dfg)
         n = params.n_threads
         self.units = [_Unit(i, nd, config.placement[nd.id],
                             unit_latency(nd, config.spec, params), n)
@@ -255,17 +255,10 @@ class SimState:
 
         # a slot takes one edge, plus a seeding livein on a back edge's slot;
         # parse_dfg accepts any slot number, but a token for a missing slot has
-        # no buffer
+        # no buffer, so _check_bindings refused such graphs above
         for e in dfg.edges:
             src, u = by_id[e.src], by_id[e.dst]
-            if e.slot not in range(u.arity):
-                raise DfgError("arity-mismatch", f"{e.kind} edge {e.src}->{e.dst}: node "
-                               f"{e.dst} ({u.node.kind}) has no slot {e.slot}")
-            if u.sources[e.slot][0] is not None:
-                raise DfgError("duplicate-slot", f"slot {e.slot} of node {e.dst} bound twice")
             if e.kind == "back":
-                if e.diff is None or e.diff < 1:
-                    raise DfgError("bad-diff", f"back edge {e.src}->{e.dst} diff={e.diff}")
                 u.sources[e.slot] = (src.index, e.diff, None)
                 att = feedback.get(e.key())
                 # a spill pays its latency plus re-entry hops, and at least one
@@ -283,14 +276,7 @@ class SimState:
         # diff, or a plain slot's one standing token
         for lv in dfg.live_in.values():
             u = by_id[lv.node]
-            if lv.slot not in range(u.arity):
-                raise DfgError("arity-mismatch", f"livein '{lv.name}': node {lv.node} "
-                               f"({u.node.kind}) has no slot {lv.slot}")
-            p, d, seed = u.sources[lv.slot]
-            if seed is not None or (p is not None and not d):
-                raise DfgError("duplicate-slot", f"slot {lv.slot} of node {lv.node} bound twice")
-            if not lv.values:
-                raise DfgError("livein-length", f"livein '{lv.name}' has no values")
+            p, d, _ = u.sources[lv.slot]
             u.sources[lv.slot] = (p, d, lv)
             self.arrivals.setdefault(2, []).extend(
                 (u.index, lv.slot, t) for t in range(min(d, n) if d else 1))

@@ -1,14 +1,15 @@
 """Basic-block trace analytics: loop routes and their run-time prevalence.
 
 Input traces record, per routine, which basic blocks executed (streaming
-one event per line) or the already-aggregated block-to-block edge counts.
-Each basic block ends in exactly one jump, so routines become small
-directed graphs; closed routes (simple cycles) in those graphs are loop
-bodies.  Route iteration counts use the bottleneck (minimum) edge count
-along the cycle, which is conservative and independent of enumeration
-order.  Run time is proxied by dynamic instruction counts throughout, and
-block execution counts are derived from edge counts (max of in/out
-traversals) so streaming and aggregated inputs agree exactly.
+one event per line) or the already-aggregated block-to-block edge counts;
+``ingest`` reads each form in a loop of its own.  Each basic block ends
+in exactly one jump, so routines become small directed graphs; closed
+routes (simple cycles) in those graphs are loop bodies.  Route iteration
+counts use the bottleneck (minimum) edge count along the cycle, which is
+conservative and independent of enumeration order.  Run time is proxied
+by dynamic instruction counts throughout, and block execution counts are
+derived from edge counts (max of in/out traversals) so streaming and
+aggregated inputs agree exactly.
 
 Routes are found in report order, so the work follows the routes kept,
 not all the routes a routine has.  One strongly-connected-component pass
@@ -72,25 +73,25 @@ def ingest(lines) -> dict[str, RoutineGraph]:
     Aggregated files start with ``#aggregated`` and hold
     ``routine,src,dst,edge_count`` lines plus ``#bb routine,bb,instr_count``
     declarations.  The two forms of one execution yield identical graphs.
+    Each form has its own loop: this one reads lines up to the
+    ``#aggregated`` header, and then hands the rest to
+    ``_ingest_aggregated``, so no aggregated line meets the line cache.
 
     A streaming trace repeats a few distinct lines many times, so the work
     per repeated line is kept small.  Each (routine, block) pair gets a
     small int code the first time it is seen, shared by every padding of
     its lines, and its routine gets a slot.  Each raw data line is parsed
     once: its ``(code, slot, instr)`` is kept in a dict of at most
-    ``_LINE_CACHE_MAX`` lines (later new lines take the full parse).
-    Entries are added only once the trace is known to be streaming, when
-    no later line can change how a data line parses.  A line then records
-    its instruction count against its code, swaps its code into its
-    routine's slot and bumps one count in the pair table, keyed by
-    (previous code, code): one row of counts per previous code.  The first
-    time a pair is seen its edge goes into ``edge_counts`` with count 0,
-    which keeps the edges in first-seen order.  After the last line each
-    block's last instruction count goes into ``instr_counts``, in
+    ``_LINE_CACHE_MAX`` lines (later new lines take the full parse).  A
+    line then records its instruction count against its code, swaps its
+    code into its routine's slot and bumps one count in the pair table,
+    keyed by (previous code, code): one row of counts per previous code.
+    The first time a pair is seen its edge goes into ``edge_counts`` with
+    count 0, which keeps the edges in first-seen order.  After the last
+    line each block's last instruction count goes into ``instr_counts``, in
     first-seen order, and every pair count is added to its edge.
     """
-    graphs: dict[str, RoutineGraph] = {}
-    aggregated = None
+    graphs: dict[str, RoutineGraph] = {}  # holds a routine once a data line is read
     # streaming state; code 0 stands for "no block yet" in its routine
     parsed: dict[str, tuple[int, int, int]] = {}  # raw line -> (code, slot, instr)
     codes: dict[tuple[str, int], tuple[int, int]] = {}  # (routine, bb) -> (code, slot)
@@ -100,54 +101,23 @@ def ingest(lines) -> dict[str, RoutineGraph]:
     prev: list[int] = []  # slot -> code of its routine's last line
     pairs: list[dict[int, int]] = [{}]  # previous code -> {code: count}
 
-    def graph(routine: str) -> RoutineGraph:
-        g = graphs.get(routine)
-        if g is None:
-            g = graphs[routine] = RoutineGraph(routine)
-        return g
-
-    for lineno, raw in enumerate(lines, start=1):
+    rows = enumerate(lines, start=1)
+    for lineno, raw in rows:
         entry = parsed.get(raw)
         if entry is None:
             line = raw.strip()
             if not line:
                 continue
             if line == "#aggregated":
-                if aggregated is False:
+                if graphs:
                     raise TraceError("mixed streaming and aggregated formats", lineno)
-                aggregated = True
-                continue
+                return _ingest_aggregated(rows, graphs)
             if line.startswith("#bb "):
-                if aggregated is not True:
-                    raise TraceError("#bb declaration outside an aggregated trace", lineno)
-                parts = line[4:].split(",")
-                if len(parts) != 3:
-                    raise TraceError(f"malformed #bb line: '{line}'", lineno)
-                routine, bb, instr = parts[0].strip(), parts[1], parts[2]
-                g = graph(routine)
-                try:
-                    g.instr_counts[int(bb)] = int(instr)
-                except ValueError:
-                    raise TraceError(f"malformed #bb line: '{line}'", lineno)
-                continue
+                raise TraceError("#bb declaration outside an aggregated trace", lineno)
             if line.startswith("#"):
                 continue
 
             parts = [p.strip() for p in line.split(",")]
-            if aggregated:
-                if len(parts) != 4:
-                    raise TraceError(f"malformed aggregated line: '{line}'", lineno)
-                routine = parts[0]
-                try:
-                    src, dst, count = int(parts[1]), int(parts[2]), int(parts[3])
-                except ValueError:
-                    raise TraceError(f"malformed aggregated line: '{line}'", lineno)
-                if count < 1:
-                    raise TraceError(f"edge count must be >= 1: '{line}'", lineno)
-                g = graph(routine)
-                g.edge_counts[(src, dst)] = g.edge_counts.get((src, dst), 0) + count
-                continue
-            aggregated = False
             if len(parts) not in (2, 3):
                 raise TraceError(f"malformed trace line: '{line}'", lineno)
             try:
@@ -162,8 +132,9 @@ def ingest(lines) -> dict[str, RoutineGraph]:
                 if slot is None:
                     slot = slots[routine] = len(prev)
                     prev.append(0)
+                    graphs[routine] = RoutineGraph(routine)
                 known = codes[(routine, bb)] = (len(blocks), slot)
-                blocks.append((graph(routine), bb))
+                blocks.append((graphs[routine], bb))
                 instrs.append(0)
                 pairs.append({})
             entry = (*known, instr)
@@ -187,6 +158,45 @@ def ingest(lines) -> dict[str, RoutineGraph]:
         g.instr_counts[src] = instr
         for code, n in row.items():
             g.edge_counts[(src, blocks[code][1])] += n
+    return graphs
+
+
+def _ingest_aggregated(rows, graphs: dict[str, RoutineGraph]) -> dict[str, RoutineGraph]:
+    """The rest of ``ingest`` after an ``#aggregated`` header: ``rows`` are
+    its ``(lineno, raw)`` pairs.  Each line is split once; the routine and
+    the edge fields are stripped one by one (``int`` alone would not skip
+    ``\\x1c``-``\\x1f``), the ``#bb`` numbers are not.  Each routine sums
+    its edges' counts, edges in first-seen order, and keeps the last count
+    declared per block."""
+    for lineno, raw in rows:
+        line = raw.strip()
+        if not line:
+            continue
+        if line[0] == "#":
+            if line.startswith("#bb "):
+                try:
+                    routine, bb, instr = line[4:].split(",")
+                    bb, instr = int(bb), int(instr)
+                except ValueError:
+                    raise TraceError(f"malformed #bb line: '{line}'", lineno)
+                routine = routine.strip()
+                g = graphs.get(routine)
+                if g is None:
+                    g = graphs[routine] = RoutineGraph(routine)
+                g.instr_counts[bb] = instr
+            continue  # a comment, or another #aggregated
+        try:
+            routine, src, dst, count = line.split(",")
+            src, dst, count = int(src.strip()), int(dst.strip()), int(count.strip())
+        except ValueError:
+            raise TraceError(f"malformed aggregated line: '{line}'", lineno)
+        if count < 1:
+            raise TraceError(f"edge count must be >= 1: '{line}'", lineno)
+        routine = routine.strip()
+        g = graphs.get(routine)
+        if g is None:
+            g = graphs[routine] = RoutineGraph(routine)
+        g.edge_counts[(src, dst)] = g.edge_counts.get((src, dst), 0) + count
     return graphs
 
 

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from loopgrid.analysis import describe_deps, find_deps
 from loopgrid.grid import GridConfig, GridSpec, MapError, default_grid, map_graph
-from loopgrid.ir import (DfgError, ExecError, LiveIn, Node, load_dfg, parse_dfg,
+from loopgrid.ir import (DfgError, Edge, ExecError, LiveIn, Node, load_dfg, parse_dfg,
                          reference_execute, validate)
 from loopgrid.sim import (
     DeadlockError,
@@ -342,6 +342,9 @@ def test_empty_livein_refused_with_typed_error(text):
         with pytest.raises(DfgError) as exc:
             simulate(cfg, g, MachineParams(mode=mode, n_threads=4))
         assert exc.value.code == "livein-length", mode
+    with pytest.raises(DfgError) as exc:
+        reference_execute(g, 4)
+    assert exc.value.code == "livein-length"
 
 
 def _edit_edge(g, kind, **fields):
@@ -349,8 +352,9 @@ def _edit_edge(g, kind, **fields):
     g.edges = [e._replace(**fields) if e.kind == kind and e.slot == 1 else e for e in g.edges]
 
 
-# parse_dfg refuses each of these; a graph built in code reaches the mapper
-# and the simulator, which refuse it with the code validate reports
+# parse_dfg refuses each of these; a graph built in code reaches the mapper,
+# the simulator and the reference, which refuse it with the code validate
+# reports
 MALFORMED = {
     "intra-src": ("dangling-reference", lambda g: _edit_edge(g, "intra", src=7)),
     "back-src": ("dangling-reference", lambda g: _edit_edge(g, "back", src=9)),
@@ -367,6 +371,7 @@ MALFORMED = {
                          lambda g: g.live_in.update(s=g.live_in["s"]._replace(slot=None))),
     "livein-node-none": ("dangling-reference",
                          lambda g: g.live_in.update(s=g.live_in["s"]._replace(node=None))),
+    "duplicate-slot": ("duplicate-slot", lambda g: g.edges.append(Edge(1, 2, 1))),
 }
 
 
@@ -378,7 +383,7 @@ def test_malformed_graph_built_in_code_is_refused_with_its_code(code, breaks):
     breaks(g)
     assert code in {v.code for v in validate(g)}
     calls = [lambda mode=mode: simulate(cfg, g, MachineParams(mode=mode, n_threads=4))
-             for mode in ("dr", "baseline")]
+             for mode in ("dr", "baseline")] + [lambda: reference_execute(g, 4)]
     if code in ("dangling-reference", "non-dense-ids"):
         calls += [lambda: find_deps(g), lambda: describe_deps(g), lambda: map_graph(g)]
     for call in calls:

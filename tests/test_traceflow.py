@@ -263,6 +263,164 @@ def test_counting_memory_does_not_grow_with_the_stream():
     assert peak < 50_000
 
 
+
+# ------------------------------------------------------ aggregated ingestion
+
+NAME = st.sampled_from(["main", "f", "g2"])
+FIELD_PAD = st.sampled_from(["", " ", "\t", "\x1c", "\x1d", "\x1e", "\x1f", " \x1f"])
+NUM_PAD = st.sampled_from(["", " ", "\t"])  # int() skips these, not \x1c-\x1f
+AGG_FILLER = st.sampled_from(["", "  ", "# note", "#x,1,2", "#bb", "#bbx,1,2", "#aggregated",
+                              "\t#aggregated "])
+EDGE = st.tuples(st.just("edge"), NAME, st.integers(0, 5), st.integers(0, 5),
+                 st.integers(1, 99))
+DECL = st.tuples(st.just("bb"), NAME, st.integers(0, 5), st.integers(0, 30))
+
+
+def agg_oracle(items):
+    """Independent reading of aggregated items: per routine in first-seen
+    order, the summed count per edge and the last count per block, both in
+    first-seen order."""
+    graphs = {}
+    for kind, name, *nums in items:
+        instrs, edges = graphs.setdefault(name, ({}, Counter()))
+        if kind == "edge":
+            src, dst, count = nums
+            edges[(src, dst)] += count
+        else:
+            bb, instr = nums
+            instrs[bb] = instr
+    return graphs
+
+
+def corrupt(draw, item):
+    """One item's fields as text with one fault in them, and the message
+    ``ingest`` gives for it."""
+    kind, name, *nums = item
+    fields = [name] + [str(n) for n in nums]
+    what = draw(st.sampled_from(["letter", "missing", "extra"]
+                                + (["count"] if kind == "edge" else ["x1c"])))
+    if what == "letter":
+        i = draw(st.integers(1, len(fields) - 1))
+        fields[i] += draw(st.sampled_from("axZ"))
+    elif what == "missing":
+        del fields[draw(st.integers(0, len(fields) - 1))]
+    elif what == "extra":
+        fields.insert(draw(st.integers(0, len(fields))), "7")
+    elif what == "count":
+        fields[3] = str(draw(st.integers(-5, 0)))
+        return fields, "edge count must be >= 1"
+    else:  # a #bb number field is not stripped
+        i = draw(st.integers(1, 2))
+        fields[i] = "\x1c" + fields[i]
+    return fields, "malformed aggregated line" if kind == "edge" else "malformed #bb line"
+
+
+@st.composite
+def rendered_aggregates(draw):
+    """An aggregated trace as text: a padded header, then drawn edge and
+    ``#bb`` items with every field padded, blank, comment and extra header
+    lines in between, and ``\n`` or ``\r\n`` endings.  Edges and blocks
+    repeat, so counts sum and later declarations win.  In one draw in four
+    one item's fields carry a fault; returns (items, text, and the line and
+    message of the fault or None)."""
+    items = draw(st.lists(EDGE | DECL, max_size=60))
+    bad = draw(st.integers(0, len(items) - 1)) if items and draw(st.integers(0, 3)) == 0 else None
+    out = [draw(st.sampled_from(["", "# head"])) + draw(EOL) for _ in range(draw(st.integers(0, 2)))]
+    out.append(draw(FIELD_PAD) + "#aggregated" + draw(FIELD_PAD) + draw(EOL))
+    fault = None
+    for i, (kind, name, *nums) in enumerate(items):
+        if draw(st.booleans()):
+            out.append(draw(AGG_FILLER) + draw(EOL))
+        if i == bad:
+            fields, message = corrupt(draw, items[i])
+        else:
+            fields = [name] + [str(n) for n in nums]
+        if kind == "edge":
+            body = ",".join(draw(FIELD_PAD) + f + draw(FIELD_PAD) for f in fields)
+        else:
+            body = "#bb " + ",".join(draw(FIELD_PAD if j == 0 else NUM_PAD) + f
+                                     + draw(FIELD_PAD if j == 0 else NUM_PAD)
+                                     for j, f in enumerate(fields))
+        out.append(draw(FIELD_PAD) + body + draw(EOL))
+        if i == bad:
+            fault = (len(out), f"{message}: '{out[-1].strip()}' (line {len(out)})")
+            break
+    return items, "".join(out), fault
+
+
+@settings(max_examples=200, deadline=None)
+@given(rendered_aggregates())
+def test_aggregated_ingest_matches_oracle(case):
+    items, text, fault = case
+    if fault is not None:
+        with pytest.raises(TraceError) as exc:
+            ingest(io.StringIO(text))
+        assert (exc.value.line, str(exc.value)) == fault
+        return
+    graphs = ingest(io.StringIO(text))
+    expect = agg_oracle(items)
+    assert list(graphs) == list(expect)
+    for name, (instrs, edges) in expect.items():
+        g = graphs[name]
+        assert g.name == name
+        assert list(g.instr_counts.items()) == list(instrs.items())
+        assert list(g.edge_counts.items()) == list(edges.items())
+
+
+def test_aggregated_fields_keep_their_strips():
+    # str.strip() skips \x1c-\x1f and int() does not: the routine and every
+    # field of an edge line are stripped, a #bb line's numbers are not
+    g = ingest(["#aggregated", "\x1ff\x1c,\x1c0\x1d,\x1e1 ,\x1f5", "#bb \x1cf\x1d,0,3"])["f"]
+    assert g.edge_counts == {(0, 1): 5}
+    assert g.instr_counts == {0: 3}
+    for bad in ("#bb f,\x1c0,5", "#bb f,0\x1c,5", "#bb f,0,\x1c5"):
+        with pytest.raises(TraceError) as exc:
+            ingest(["#aggregated", bad])
+        assert exc.value.line == 2
+        assert str(exc.value) == f"malformed #bb line: '{bad}' (line 2)"
+
+
+@pytest.mark.parametrize(
+    "lines,line,message",
+    [
+        (["# c", "", "f,0", "", "#aggregated"], 5, "mixed streaming and aggregated formats"),
+        (["f,0", "f,1", "f,0", "\t#aggregated "], 4, "mixed streaming and aggregated formats"),
+        (["#bb f,0,5", "#aggregated"], 1, "#bb declaration outside an aggregated trace"),
+        (["", "# c", " #bb f,0,5"], 3, "#bb declaration outside an aggregated trace"),
+        (["#aggregated", "f,0,1,2", "#aggregated", "f,0,1"], 4, "malformed aggregated line: 'f,0,1'"),
+    ],
+)
+def test_aggregated_header_rules(lines, line, message):
+    with pytest.raises(TraceError) as exc:
+        ingest(lines)
+    assert exc.value.line == line
+    assert str(exc.value) == f"{message} (line {line})"
+
+
+def test_header_may_follow_comments_and_repeat():
+    # comment and blank lines before the header, a repeated header and the
+    # bare '#bb' comment are all accepted; the routine is made at its first line
+    graphs = ingest(["# made by hand", "", " #aggregated", "#bb g,4,2", "f,0,1,2", "#bb",
+                     "#aggregated", "f,0,1,3", "#bbf,1,9", "g,4,4,1"])
+    assert list(graphs) == ["g", "f"]
+    assert graphs["f"].edge_counts == {(0, 1): 5} and graphs["f"].instr_counts == {}
+    assert graphs["g"].edge_counts == {(4, 4): 1} and graphs["g"].instr_counts == {4: 2}
+
+
+class _CountedLine(str):
+    """A line that counts how often it is hashed, as a dict lookup does."""
+
+    def __hash__(self):
+        self.hashes = getattr(self, "hashes", 0) + 1
+        return super().__hash__()
+
+
+def test_aggregated_lines_skip_the_line_cache():
+    lines = [_CountedLine(t) for t in ("#aggregated", "f,0,1,2", "f,0,1,2", "#bb f,0,3")]
+    assert ingest(lines)["f"].edge_counts == {(0, 1): 4}
+    assert [getattr(line, "hashes", 0) for line in lines[1:]] == [0, 0, 0]
+
+
 # ---------------------------------------------------------------- enumeration
 
 def test_self_loop_route():
