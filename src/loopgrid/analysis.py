@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from typing import NamedTuple
 
-from .ir import DataflowGraph, DfgError, Edge, _check_references, topo_order
+from .ir import DataflowGraph, DfgError, Edge, _check_bindings, topo_order
 
 DEFAULT_LATENCIES = {"alu": 1, "fpu": 4, "load": 20, "store": 1, "control": 1, "sju": 1}
 
@@ -47,7 +47,7 @@ def find_deps(g: DataflowGraph, latencies=None) -> list[LoopCarriedDep]:
     chosen (ties: lexicographically smallest node sequence).  One pass per
     back edge over the intra-edge DAG in reverse topological order.
     """
-    _check_references(g)
+    _check_bindings(g)
     order = topo_order(g)
     if order is None:
         raise DfgError("intra-cycle", "intra-iteration edges contain a cycle")

@@ -366,47 +366,11 @@ def load_dfg(path: str) -> DataflowGraph:
 
 
 def validate(g: DataflowGraph) -> list[Violation]:
-    """Check all structural invariants; returns one Violation per breach."""
-    out: list[Violation] = []
-    n = len(g.nodes)
-
-    out += [Violation("non-dense-ids", msg) for msg in _non_dense(g)]
-    out += [Violation("dangling-reference", msg) for msg in _dangling(g)]
-
-    # (node, slot) -> the edges and the liveins feeding it, indexed once
-    edges_in: dict[tuple[int, int], list[Edge]] = {}
-    liveins_in: dict[tuple[int, int], list[LiveIn]] = {}
-    for e in g.edges:
-        if (e.dst, e.slot) in edges_in:
-            out.append(Violation("duplicate-slot", f"slot {e.slot} of node {e.dst} bound twice"))
-        edges_in.setdefault((e.dst, e.slot), []).append(e)
-        if e.kind == "back" and (e.diff is None or e.diff < 1):
-            out.append(Violation("bad-diff", f"back edge {e.src}->{e.dst} diff={e.diff}"))
-        if e.dst in range(n) and e.slot not in range(g.node(e.dst).n_inputs):
-            out.append(Violation("arity-mismatch",
-                                 f"node {e.dst} ({g.node(e.dst).kind}) has no slot {e.slot}"))
-    for lv in g.live_in.values():
-        if lv.node in range(n) and lv.slot not in range(g.node(lv.node).n_inputs):
-            out.append(Violation("arity-mismatch", f"livein '{lv.name}': node {lv.node} "
-                                 f"({g.node(lv.node).kind}) has no slot {lv.slot}"))
-        if not lv.values:
-            out.append(Violation("livein-length", f"livein '{lv.name}' has no values"))
-        liveins_in.setdefault((lv.node, lv.slot), []).append(lv)
-
-    # every non-const input slot fed exactly once (a back edge plus its livein
-    # counts as one feeder)
-    for nd in g.nodes:
-        for slot in range(nd.n_inputs):
-            srcs = edges_in.get((nd.id, slot), [])
-            lvs = liveins_in.get((nd.id, slot), [])
-            if not srcs and not lvs:
-                out.append(Violation("unfed-slot", f"slot {slot} of node {nd.id} has no input"))
-            if any(e.kind == "intra" for e in srcs) and lvs:
-                out.append(Violation("duplicate-slot",
-                                     f"slot {slot} of node {nd.id} has both edge and livein"))
-            if len(lvs) > 1:
-                out.append(Violation("duplicate-slot",
-                                     f"slot {slot} of node {nd.id} has {len(lvs)} liveins"))
+    """Check all structural invariants; returns one Violation per breach:
+    every ``_binding_faults`` fault, then the whole-graph checks."""
+    edges: dict[tuple[int, int], Edge] = {}
+    liveins: dict[tuple[int, int], LiveIn] = {}
+    out = [Violation(code, msg) for code, msg in _binding_faults(g, edges, liveins)]
 
     # intra edges must form a DAG
     if topo_order(g) is None:
@@ -414,19 +378,18 @@ def validate(g: DataflowGraph) -> list[Violation]:
 
     # dependent slots need initial values covering threads < diff
     per_node: dict[int, int] = {}  # dependent input slots per node
-    for (nid, slot), srcs in edges_in.items():
-        diffs = [e.diff for e in srcs if e.kind == "back"]
-        if not diffs:
+    for (nid, slot), e in edges.items():
+        if e.kind != "back":
             continue
         per_node[nid] = per_node.get(nid, 0) + 1
-        lvs = liveins_in.get((nid, slot))
-        if not lvs:
+        lv = liveins.get((nid, slot))
+        if lv is None:
             out.append(Violation("missing-livein",
                                  f"dependent slot {slot} of node {nid} has no initial values",
                                  "warning"))
-        elif len(lvs[0].values) != diffs[-1]:
+        elif len(lv.values) != e.diff:
             out.append(Violation("livein-length",
-                                 f"slot {slot} of node {nid} needs {diffs[-1]} initial values"))
+                                 f"slot {slot} of node {nid} needs {e.diff} initial values"))
 
     # a unit supports at most one dependent input slot (warning: grid mapping rejects it)
     for nid, cnt in per_node.items():
@@ -446,70 +409,71 @@ def validate(g: DataflowGraph) -> list[Violation]:
     return out
 
 
-def _non_dense(g: DataflowGraph):
-    """A message per node whose id is not its position."""
-    for i, nd in enumerate(g.nodes):
-        if nd.id != i:
-            yield f"node {nd.id} at position {i}"
-
-
-def _dangling(g: DataflowGraph):
-    """A message per edge endpoint, live-in node and live-out naming no node."""
+def _binding_faults(g: DataflowGraph, edges: dict, liveins: dict):
+    """Yield ``(code, message)`` per binding fault: each input slot takes
+    exactly one producer, or on a dependent slot a back edge plus the
+    live-in that seeds it.  First the reference faults (``non-dense-ids``,
+    then ``dangling-reference``), and nothing more if there are any, since
+    every later rule indexes nodes by id.  Then, in edge order, a missing
+    slot (``arity-mismatch``), a slot bound twice (``duplicate-slot``) and
+    a diff below 1 (``bad-diff``); in live-in order, a missing slot, a slot
+    an intra edge or another live-in feeds, and no values
+    (``livein-length``); in node and slot order, a slot nothing feeds
+    (``unfed-slot``).  Fills ``edges`` and ``liveins`` with the first edge
+    and live-in bound to each existing ``(node, slot)``."""
     ids = range(len(g.nodes))
+    refs = [("non-dense-ids", f"node {nd.id} at position {i}")
+            for i, nd in enumerate(g.nodes) if nd.id != i]
+    refs += [("dangling-reference", f"edge endpoint {nid} missing")
+             for e in g.edges for nid in (e.src, e.dst) if nid not in ids]
+    refs += [("dangling-reference", f"livein '{lv.name}' node {lv.node} missing")
+             for lv in g.live_in.values() if lv.node not in ids]
+    refs += [("dangling-reference", f"liveout node {nid} missing")
+             for nid in g.live_out if nid not in ids]
+    if refs:
+        yield from refs
+        return
+    nodes = g.nodes
+    arity = [nd.n_inputs for nd in nodes]
     for e in g.edges:
-        for nid in (e.src, e.dst):
-            if nid not in ids:
-                yield f"edge endpoint {nid} missing"
+        key = (e.dst, e.slot)
+        if e.slot not in range(arity[e.dst]):
+            yield "arity-mismatch", (f"{e.kind} edge {e.src}->{e.dst}: node {e.dst} "
+                                     f"({nodes[e.dst].kind}) has no slot {e.slot}")
+            continue
+        if key in edges:
+            yield "duplicate-slot", f"slot {e.slot} of node {e.dst} bound twice"
+        else:
+            edges[key] = e
+        if e.kind == "back" and (e.diff is None or e.diff < 1):
+            yield "bad-diff", f"back edge {e.src}->{e.dst} diff={e.diff}"
     for lv in g.live_in.values():
-        if lv.node not in ids:
-            yield f"livein '{lv.name}' node {lv.node} missing"
-    for nid in g.live_out:
-        if nid not in ids:
-            yield f"liveout node {nid} missing"
-
-
-def _check_references(g: DataflowGraph) -> None:
-    """Raise the first ``_non_dense`` message as ``DfgError("non-dense-ids")``,
-    else the first ``_dangling`` one as ``DfgError("dangling-reference")``:
-    ``parse_dfg`` refuses them all, but a graph built in code can hold one."""
-    for msg in _non_dense(g):
-        raise DfgError("non-dense-ids", msg)
-    for msg in _dangling(g):
-        raise DfgError("dangling-reference", msg)
+        key = (lv.node, lv.slot)
+        if lv.slot not in range(arity[lv.node]):
+            yield "arity-mismatch", (f"livein '{lv.name}': node {lv.node} "
+                                     f"({nodes[lv.node].kind}) has no slot {lv.slot}")
+            continue
+        e = edges.get(key)
+        if key in liveins or (e is not None and e.kind == "intra"):
+            yield "duplicate-slot", f"slot {lv.slot} of node {lv.node} bound twice"
+        else:
+            liveins[key] = lv
+        if not lv.values:
+            yield "livein-length", f"livein '{lv.name}' has no values"
+    for nid, n in enumerate(arity):
+        for slot in range(n):
+            if (nid, slot) not in edges and (nid, slot) not in liveins:
+                yield "unfed-slot", f"slot {slot} of node {nid} ({nodes[nid].kind}) has no input"
 
 
 def _check_bindings(g: DataflowGraph):
-    """Refuse what neither ``simulate`` nor ``reference_execute`` can run,
-    after ``_check_references``: in edge order a missing slot
-    (``arity-mismatch``), a slot bound twice (``duplicate-slot``) or a back
-    edge's diff below 1 (``bad-diff``), then in live-in order a missing
-    slot, a slot an intra edge or another live-in feeds, or no values
-    (``livein-length``).  Returns the edge and the live-in of each bound
-    ``(node, slot)``, as two dicts."""
-    _check_references(g)
+    """Raise the first ``_binding_faults`` fault as ``DfgError``: ``parse_dfg``
+    refuses most of them, but a graph built in code can hold any.  Returns
+    the edge and the live-in of each bound ``(node, slot)``, as two dicts."""
     edges: dict[tuple[int, int], Edge] = {}
-    for e in g.edges:
-        nd = g.nodes[e.dst]
-        if e.slot not in range(nd.n_inputs):
-            raise DfgError("arity-mismatch", f"{e.kind} edge {e.src}->{e.dst}: node "
-                           f"{e.dst} ({nd.kind}) has no slot {e.slot}")
-        if (e.dst, e.slot) in edges:
-            raise DfgError("duplicate-slot", f"slot {e.slot} of node {e.dst} bound twice")
-        if e.kind == "back" and (e.diff is None or e.diff < 1):
-            raise DfgError("bad-diff", f"back edge {e.src}->{e.dst} diff={e.diff}")
-        edges[(e.dst, e.slot)] = e
     liveins: dict[tuple[int, int], LiveIn] = {}
-    for lv in g.live_in.values():
-        nd = g.nodes[lv.node]
-        if lv.slot not in range(nd.n_inputs):
-            raise DfgError("arity-mismatch", f"livein '{lv.name}': node {lv.node} "
-                           f"({nd.kind}) has no slot {lv.slot}")
-        e = edges.get((lv.node, lv.slot))
-        if (lv.node, lv.slot) in liveins or (e is not None and e.kind == "intra"):
-            raise DfgError("duplicate-slot", f"slot {lv.slot} of node {lv.node} bound twice")
-        if not lv.values:
-            raise DfgError("livein-length", f"livein '{lv.name}' has no values")
-        liveins[(lv.node, lv.slot)] = lv
+    for code, msg in _binding_faults(g, edges, liveins):
+        raise DfgError(code, msg)
     return edges, liveins
 
 
@@ -655,7 +619,7 @@ def reference_execute(g: DataflowGraph, n_threads: int) -> list[dict[int, object
     order = topo_order(g)
     if order is None:
         raise ExecError("intra-cycle", "graph is not executable")
-    # node id -> (edge, live-in) per input slot, either of them None
+    # node id -> (edge, live-in) per input slot, one of them possibly None
     inputs = {nd.id: [(edges.get((nd.id, s)), liveins.get((nd.id, s)))
                       for s in range(nd.n_inputs)] for nd in g.nodes}
     memory = dict(g.memory_image)
@@ -671,8 +635,6 @@ def reference_execute(g: DataflowGraph, n_threads: int) -> list[dict[int, object
                 continue
             ins = []
             for slot, (e, lv) in enumerate(inputs[nid]):
-                if e is None and lv is None:
-                    raise ExecError("unfed-slot", f"slot {slot} of node {nid} has no input")
                 if e is None:
                     ins.append(lv.value_for(t))
                 elif e.kind == "intra":

@@ -254,8 +254,9 @@ class SimState:
         feedback = {f.edge_key: f for f in config.feedback} if params.mode == "dr" else {}
 
         # a slot takes one edge, plus a seeding livein on a back edge's slot;
-        # parse_dfg accepts any slot number, but a token for a missing slot has
-        # no buffer, so _check_bindings refused such graphs above
+        # parse_dfg accepts any slot number and unfed slots, but a token for a
+        # missing slot has no buffer and a unit with an unfed slot never
+        # fires, so _check_bindings refused such graphs above
         for e in dfg.edges:
             src, u = by_id[e.src], by_id[e.dst]
             if e.kind == "back":
@@ -295,10 +296,6 @@ class SimState:
         self._nones = [None] * n
         for u in self.units:
             for slot, (p, d, lv) in enumerate(u.sources):
-                # a unit with an unfed slot never fires; the reference refuses the graph
-                if p is None and lv is None:
-                    raise DfgError("unfed-slot", f"slot {slot} of node {u.node.id} "
-                                   f"({u.node.kind}) has no input")
                 if d and lv is None and u.index not in live:
                     raise DfgError("missing-livein", f"back edge into slot {slot} of node "
                                    f"{u.node.id} has no livein and feeds no live-out")

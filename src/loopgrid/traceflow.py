@@ -72,7 +72,8 @@ def ingest(lines) -> dict[str, RoutineGraph]:
     Streaming lines: ``routine,bb[,instr_count]`` in execution order.
     Aggregated files start with ``#aggregated`` and hold
     ``routine,src,dst,edge_count`` lines plus ``#bb routine,bb,instr_count``
-    declarations.  The two forms of one execution yield identical graphs.
+    declarations (``#bb`` and any whitespace).  An instruction count may be
+    0, not below.  The two forms of one execution yield identical graphs.
     Each form has its own loop: this one reads lines up to the
     ``#aggregated`` header, and then hands the rest to
     ``_ingest_aggregated``, so no aggregated line meets the line cache.
@@ -112,7 +113,7 @@ def ingest(lines) -> dict[str, RoutineGraph]:
                 if graphs:
                     raise TraceError("mixed streaming and aggregated formats", lineno)
                 return _ingest_aggregated(rows, graphs)
-            if line.startswith("#bb "):
+            if line.startswith("#bb") and line[3:4].isspace():
                 raise TraceError("#bb declaration outside an aggregated trace", lineno)
             if line.startswith("#"):
                 continue
@@ -125,6 +126,8 @@ def ingest(lines) -> dict[str, RoutineGraph]:
                 instr = int(parts[2]) if len(parts) == 3 else 1
             except ValueError:
                 raise TraceError(f"malformed trace line: '{line}'", lineno)
+            if instr < 0:
+                raise TraceError(f"instruction count must be >= 0: '{line}'", lineno)
             routine = parts[0]
             known = codes.get((routine, bb))
             if known is None:
@@ -173,12 +176,14 @@ def _ingest_aggregated(rows, graphs: dict[str, RoutineGraph]) -> dict[str, Routi
         if not line:
             continue
         if line[0] == "#":
-            if line.startswith("#bb "):
+            if line.startswith("#bb") and line[3:4].isspace():
                 try:
                     routine, bb, instr = line[4:].split(",")
                     bb, instr = int(bb), int(instr)
                 except ValueError:
                     raise TraceError(f"malformed #bb line: '{line}'", lineno)
+                if instr < 0:
+                    raise TraceError(f"instruction count must be >= 0: '{line}'", lineno)
                 routine = routine.strip()
                 g = graphs.get(routine)
                 if g is None:

@@ -362,6 +362,19 @@ def test_unfed_slot_exits_nonzero(tmp_path):
     assert proc.stderr.startswith("error: unfed-slot")
 
 
+@pytest.mark.parametrize("feeds, code", [("edge 0 1 0\nedge 0 1 4", "arity-mismatch"),
+                                         ("edge 0 1 0", "unfed-slot")],
+                         ids=["missing-slot", "unfed-slot"])
+def test_map_and_analyze_refuse_what_sim_refuses(tmp_path, feeds, code):
+    path = tmp_path / "g.dfg"
+    path.write_text(f"node 0 const 1\nnode 1 add\n{feeds}\nliveout 1\n")
+    sim, *others = [subprocess.run(CLI + [*cmd, str(path)], capture_output=True, timeout=30)
+                    for cmd in (["sim", "--mode", "dr", "--threads", "4"], ["map"], ["analyze"])]
+    assert sim.returncode == 1
+    assert sim.stderr.startswith(f"error: {code}: ".encode())
+    assert [(p.returncode, p.stderr) for p in others] == [(1, sim.stderr)] * 2
+
+
 def test_unseeded_back_edge_off_live_out_paths_exits_nonzero(tmp_path):
     # node 1's back edge has no livein and node 1 feeds no live-out
     path = tmp_path / "g.dfg"

@@ -1,5 +1,6 @@
 """Cycle-level simulator: retagging, steady-state rates, and exactness."""
 
+import re
 import tracemalloc
 
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from loopgrid.analysis import describe_deps, find_deps
 from loopgrid.grid import GridConfig, GridSpec, MapError, default_grid, map_graph
-from loopgrid.ir import (DfgError, Edge, ExecError, LiveIn, Node, load_dfg, parse_dfg,
-                         reference_execute, validate)
+from loopgrid.ir import (DfgError, Edge, ExecError, LiveIn, Node, _check_bindings, load_dfg,
+                         parse_dfg, reference_execute, validate)
 from loopgrid.sim import (
     DeadlockError,
     IIOracleError,
@@ -233,15 +234,19 @@ def test_simulate_matches_reference_or_refuses(seed, mode, n, cap, mem_latency, 
     g = random_dfg(seed)
     if drop is not None:
         drop_livein(g, drop, seed_livein)
+    refused = None
     try:
         ref = reference_execute(g, n)
     except ExecError as exc:
         ref = exc.code  # no live-out list equals this
+    except DfgError as exc:
+        ref = refused = str(exc)  # a binding fault, refused alike below
     params = MachineParams(mode=mode, n_threads=n, mem_max_outstanding=cap,
                            mem_latency=mem_latency, spill_latency=spill)
     try:
         rep = simulate(map_graph(g), g, params)
-    except (DfgError, MapError, DeadlockError):
+    except (DfgError, MapError, DeadlockError) as exc:
+        assert refused in (None, str(exc))
         return
     assert rep.live_out == ref
 
@@ -250,15 +255,15 @@ def test_unfed_slot_refused_with_typed_error():
     # node 3 (or) feeds no live-out, so without the check it never fires and
     # the run returns [{5: 3, 7: 2}] where the reference refuses the graph
     g = random_dfg(2)
-    assert drop_livein(g, 2) == "in2"
-    with pytest.raises(ExecError) as ref:
-        reference_execute(g, 1)
-    assert ref.value.code == "unfed-slot"
     cfg = map_graph(g)
-    for mode in ("dr", "baseline"):
+    assert drop_livein(g, 2) == "in2"
+    calls = [lambda: reference_execute(g, 1), lambda: map_graph(g)] + [
+        lambda mode=mode: simulate(cfg, g, MachineParams(mode=mode, n_threads=1))
+        for mode in ("dr", "baseline")]
+    for call in calls:
         with pytest.raises(DfgError) as exc:
-            simulate(cfg, g, MachineParams(mode=mode, n_threads=1))
-        assert exc.value.code == "unfed-slot", mode
+            call()
+        assert exc.value.code == "unfed-slot"
 
 
 @pytest.mark.parametrize("seed", [298, 331])
@@ -307,11 +312,14 @@ def test_unseeded_back_edge_deadlocks():
                          ids=["edge", "back", "livein", "negative"])
 def test_missing_slot_refused_with_typed_error(feed):
     # parse_dfg takes any slot number; only validate would report it
-    g = parse_dfg(f"node 0 const 1\nnode 1 add\nedge 0 1 0\n{feed}\nliveout 1")
+    g = parse_dfg("node 0 const 1\nnode 1 add\nedge 0 1 0\nedge 0 1 1\nliveout 1")
     cfg = map_graph(g)
-    with pytest.raises(DfgError) as exc:
-        simulate(cfg, g, MachineParams(mode="dr", n_threads=4))
-    assert exc.value.code == "arity-mismatch"
+    g = parse_dfg(f"node 0 const 1\nnode 1 add\nedge 0 1 0\n{feed}\nliveout 1")
+    for call in (lambda: simulate(cfg, g, MachineParams(mode="dr", n_threads=4)),
+                 lambda: map_graph(g)):
+        with pytest.raises(DfgError) as exc:
+            call()
+        assert exc.value.code == "arity-mismatch"
 
 
 @pytest.mark.parametrize("extra", [LiveIn("z", 1, 1, (3,)), LiveIn("z", 1, 0, (3,))],
@@ -319,11 +327,13 @@ def test_missing_slot_refused_with_typed_error(feed):
 def test_slot_fed_twice_refused_with_typed_error(extra):
     # parse_dfg refuses both; a graph built in code reaches the simulator
     g = parse_dfg("node 0 const 1\nnode 1 add\nedge 0 1 1\nlivein a 1 0 5\nliveout 1")
-    g.live_in["z"] = extra
     cfg = map_graph(g)
-    with pytest.raises(DfgError) as exc:
-        simulate(cfg, g, MachineParams(mode="dr", n_threads=4))
-    assert exc.value.code == "duplicate-slot"
+    g.live_in["z"] = extra
+    for call in (lambda: simulate(cfg, g, MachineParams(mode="dr", n_threads=4)),
+                 lambda: map_graph(g)):
+        with pytest.raises(DfgError) as exc:
+            call()
+        assert exc.value.code == "duplicate-slot"
 
 
 @pytest.mark.parametrize("text", [
@@ -334,17 +344,17 @@ def test_empty_livein_refused_with_typed_error(text):
     # parse_dfg needs a value; a livein built in code without one made
     # simulate raise a bare IndexError
     g = parse_dfg(text)
+    cfg = map_graph(g)
     lv = g.live_in["a"]
     g.live_in["a"] = LiveIn("a", lv.node, lv.slot, ())
     assert "livein-length" in [v.code for v in validate(g)]
-    cfg = map_graph(g)
-    for mode in ("dr", "baseline"):
+    calls = [lambda: reference_execute(g, 4), lambda: map_graph(g)] + [
+        lambda mode=mode: simulate(cfg, g, MachineParams(mode=mode, n_threads=4))
+        for mode in ("dr", "baseline")]
+    for call in calls:
         with pytest.raises(DfgError) as exc:
-            simulate(cfg, g, MachineParams(mode=mode, n_threads=4))
-        assert exc.value.code == "livein-length", mode
-    with pytest.raises(DfgError) as exc:
-        reference_execute(g, 4)
-    assert exc.value.code == "livein-length"
+            call()
+        assert exc.value.code == "livein-length"
 
 
 def _edit_edge(g, kind, **fields):
@@ -384,12 +394,85 @@ def test_malformed_graph_built_in_code_is_refused_with_its_code(code, breaks):
     assert code in {v.code for v in validate(g)}
     calls = [lambda mode=mode: simulate(cfg, g, MachineParams(mode=mode, n_threads=4))
              for mode in ("dr", "baseline")] + [lambda: reference_execute(g, 4)]
-    if code in ("dangling-reference", "non-dense-ids"):
-        calls += [lambda: find_deps(g), lambda: describe_deps(g), lambda: map_graph(g)]
+    calls += [lambda: find_deps(g), lambda: describe_deps(g), lambda: map_graph(g)]
     for call in calls:
         with pytest.raises(DfgError) as exc:
             call()
         assert exc.value.code == code
+
+
+BINDING_CODES = {"non-dense-ids", "dangling-reference", "arity-mismatch", "duplicate-slot",
+                 "bad-diff", "livein-length", "unfed-slot"}
+# validate's seed-count check, a whole-graph rule that shares the code livein-length
+SEED_COUNT = re.compile(r"slot \S+ of node \S+ needs \S+ initial values")
+
+
+def _break(g, kind, k, v):
+    """Apply one MALFORMED-style breakage to ``g``: the k-th (mod their
+    count) slot, diff, endpoint or live-in gets ``v``, or the k-th live-in
+    goes, or an edge is added."""
+    lvs = list(g.live_in.values())
+    if kind == "slot" and g.edges + lvs:
+        item = (g.edges + lvs)[k % len(g.edges + lvs)]
+        if isinstance(item, Edge):
+            g.edges[g.edges.index(item)] = item._replace(slot=v)
+        else:
+            g.live_in[item.name] = item._replace(slot=v)
+    elif kind == "diff" and g.back_edges():
+        be = g.back_edges()[k % len(g.back_edges())]
+        g.edges[g.edges.index(be)] = be._replace(diff=v)
+    elif kind == "endpoint":
+        ends = [(i, f) for i in range(len(g.edges)) for f in ("src", "dst")]
+        ends += [(lv.name, "node") for lv in lvs]
+        ends += [(i, "live_out") for i in range(len(g.live_out))]
+        at, field = ends[k % len(ends)]
+        if field == "node":
+            g.live_in[at] = g.live_in[at]._replace(node=v)
+        elif field == "live_out":
+            g.live_out[at] = v
+        else:
+            g.edges[at] = g.edges[at]._replace(**{field: v})
+    elif kind == "livein-values" and lvs:
+        lv = lvs[k % len(lvs)]
+        g.live_in[lv.name] = lv._replace(values=tuple(range(v if v and v > 0 else 0)))
+    elif kind == "drop-livein" and lvs:
+        del g.live_in[lvs[k % len(lvs)].name]
+    elif kind == "extra-edge":
+        n = len(g.nodes)
+        g.edges.append(Edge(k % n, k // n % n, v, "back", 1) if k % 2 else
+                       Edge(k % n, k // n % n, v))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000),
+       st.lists(st.tuples(st.sampled_from(["slot", "diff", "endpoint", "livein-values",
+                                           "drop-livein", "extra-edge"]),
+                          st.integers(min_value=0, max_value=60),
+                          st.sampled_from([None, -1, 0, 1, 2, 3, 7, 99])),
+                min_size=1, max_size=2))
+def test_binding_checks_cannot_drift(seed, breaks):
+    # validate, _check_bindings, the simulator and the reference read one
+    # walk over the binding rules, so they report the same first fault
+    g = random_dfg(seed)
+    cfg = map_graph(g)
+    for brk in breaks:
+        _break(g, *brk)
+    faults = [v for v in validate(g) if v.code in BINDING_CODES
+              and not SEED_COUNT.fullmatch(v.message)]
+    try:
+        _check_bindings(g)
+    except DfgError as exc:
+        assert faults and str(exc) == f"{faults[0].code}: {faults[0].message}"
+        assert all(v.severity == "error" for v in faults)
+        calls = [lambda: reference_execute(g, 4)] + [
+            lambda mode=mode: simulate(cfg, g, MachineParams(mode=mode, n_threads=4))
+            for mode in ("dr", "baseline")]
+        for call in calls:
+            with pytest.raises(DfgError) as other:
+                call()
+            assert (other.value.code, str(other.value)) == (exc.code, str(exc))
+    else:
+        assert faults == []
 
 
 def test_empty_graph_matches_reference():

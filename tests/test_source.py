@@ -77,11 +77,22 @@ CODED = ("DfgError", "ExecError", "MapError", "IIOracleError", "Violation")
 
 
 def coded_errors(source: str) -> set[tuple[str, str]]:
-    """(exception, code) for each call of a coded error with a literal code."""
-    return {(node.func.id, node.args[0].value) for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-            and node.func.id in CODED and node.args
-            and isinstance(node.args[0], ast.Constant)}
+    """(exception, code) for each call of a coded error with a literal code,
+    and for each literal ``(code, message)`` pair in ``ir._binding_faults``,
+    whose faults ``_check_bindings`` raises as DfgError and ``validate``
+    reports as Violation."""
+    tree = ast.parse(source)
+    raised = {(node.func.id, node.args[0].value) for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in CODED and node.args
+              and isinstance(node.args[0], ast.Constant)}
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef) and fn.name == "_binding_faults":
+            raised |= {(exc, node.elts[0].value) for node in ast.walk(fn)
+                       if isinstance(node, ast.Tuple) and len(node.elts) == 2
+                       and isinstance(node.elts[0], ast.Constant)
+                       for exc in ("DfgError", "Violation")}
+    return raised
 
 
 def test_readme_lists_every_error_code():

@@ -407,6 +407,47 @@ def test_header_may_follow_comments_and_repeat():
     assert graphs["g"].edge_counts == {(4, 4): 1} and graphs["g"].instr_counts == {4: 2}
 
 
+@pytest.mark.parametrize("pad", ["\t", " ", " \t", "\x1c"], ids=["tab", "space", "space-tab", "x1c"])
+def test_bb_declaration_takes_any_whitespace(pad):
+    # '#bb' and any whitespace start a declaration in both formats; '#bbf,1,9'
+    # and a bare '#bb' stay comments
+    graphs = ingest(["#aggregated", f"#bb{pad}f,0,5", "f,0,0,2"])
+    assert graphs["f"].instr_counts == {0: 5}
+    with pytest.raises(TraceError) as exc:
+        ingest(["f,0", f"#bb{pad}f,0,5"])
+    assert str(exc.value) == "#bb declaration outside an aggregated trace (line 2)"
+
+
+@pytest.mark.parametrize("lines, line", [
+    (["f,0,-3", "f,0,-3"], 1),
+    (["f,0,5", "f,1", "f,0,5", "f,1", " f , 1 , -1"], 5),  # after cached lines
+], ids=["first", "after-cached"])
+def test_negative_streaming_instruction_count_refused(lines, line):
+    with pytest.raises(TraceError) as exc:
+        ingest(lines)
+    assert exc.value.line == line
+    assert str(exc.value) == (f"instruction count must be >= 0: '{lines[line - 1].strip()}' "
+                              f"(line {line})")
+
+
+def test_negative_bb_instruction_count_refused():
+    with pytest.raises(TraceError) as exc:
+        ingest(["#aggregated", "f,0,0,5", "#bb f,0,-3", "h,0,0,5"])
+    assert str(exc.value) == "instruction count must be >= 0: '#bb f,0,-3' (line 3)"
+
+
+def test_zero_instruction_count_is_legal():
+    streaming = ingest(["f,0,0", "f,1,0", "f,0,0", "g,0", "g,0"])
+    aggregated = ingest(["#aggregated", "f,0,1,1", "f,1,0,1", "#bb f,0,0", "#bb f,1,0",
+                         "g,0,0,1"])
+    for graphs in (streaming, aggregated):
+        assert graphs["f"].instr_counts == {0: 0, 1: 0}
+        assert graphs["f"].total_instructions() == 0
+        report = prevalence_report(graphs)
+        assert report.total_instructions == graphs["g"].total_instructions() == 1
+        assert [r.prevalence for r in report.routines] == [0.0, 1.0]
+
+
 class _CountedLine(str):
     """A line that counts how often it is hashed, as a dict lookup does."""
 
